@@ -94,6 +94,7 @@ type roundResult struct {
 	ops      int           // operations attempted
 	failures []string      // one entry per failed operation
 	peakMB   float64       // resident-set high-water mark during the round
+	addedMB  float64       // peakMB less the resident set the round started with
 	cpu      time.Duration // process CPU time (user+system) during the round
 	counts   counts        // simulated counts, for the determinism check
 }
@@ -169,11 +170,6 @@ func run(name string, w workload, root, build string, seed uint64, seconds float
 	if err != nil {
 		return fmt.Errorf("%s set-up: %w", name, err)
 	}
-	// Drop set-up's store and pool and return their memory, so peak_rss_mb
-	// reflects the rounds alone; each round installs its own.
-	exp.Cache, exp.InstancePool = nil, nil
-	debug.FreeOSMemory()
-
 	var untraced, traced []roundResult
 	var tr *tracing
 	if trace {
@@ -241,41 +237,55 @@ func run(name string, w workload, root, build string, seed uint64, seconds float
 	return nil
 }
 
+// setupTimes is set-up's CPU time and wall time, one sample per repeat.
+type setupTimes struct{ cpu, wall sample }
+
 // timeSetup runs the workload's set-up setupReps times and returns the
-// median duration in seconds; the last set-up stays in place.
-func timeSetup(e *env, w workload) (sample, error) {
-	var ds []float64
+// median CPU and wall seconds; the last set-up stays in place.
+func timeSetup(e *env, w workload) (setupTimes, error) {
+	var cpus, walls []float64
 	runtime.GC()
 	for i := 0; i < w.setupReps(); i++ {
 		if i > 0 {
 			w.close()
 		}
-		t0 := time.Now()
+		t0, cpu0 := time.Now(), cpuTime()
 		if err := w.setup(e); err != nil {
-			return sample{}, err
+			return setupTimes{}, err
 		}
-		ds = append(ds, time.Since(t0).Seconds())
+		cpus = append(cpus, (cpuTime() - cpu0).Seconds())
+		walls = append(walls, time.Since(t0).Seconds())
 	}
-	return summarize(ds), nil
+	return setupTimes{summarize(cpus), summarize(walls)}, nil
 }
 
 // measure repeats whole rounds until the next one would overrun budget
 // seconds (at least one round runs). Each round starts as a fresh process
-// would — garbage collected, freed memory returned to the OS — and its
-// resident-set high-water mark is recorded.
+// would — without the store and pool set-up or the round before installed,
+// garbage collected, freed memory returned to the OS — and its resident-set
+// high-water mark is recorded. It takes two collections: the first moves
+// what the round before left in sync.Pools to their victim caches, where it
+// stays live (about 90 MB after a cold-suite round), and the second
+// frees it. Left live, it would raise the next round's heap goal, so that
+// round would collect a handful of times instead of some twenty, and its
+// memory and CPU time would drift from the first round's by up to half.
 func measure(e *env, w workload, budget float64, tr *tracing) ([]roundResult, error) {
 	var out []roundResult
 	start := time.Now()
 	for {
+		exp.Cache, exp.InstancePool = nil, nil
+		runtime.GC()
 		debug.FreeOSMemory()
 		resetPeakRSS()
+		startMB := statusMB("VmRSS:")
 		cpu0 := cpuTime()
 		r, err := w.round(e, tr)
 		r.cpu = cpuTime() - cpu0
 		if err != nil {
 			return nil, err
 		}
-		r.peakMB = peakRSSMB()
+		r.peakMB = statusMB("VmHWM:")
+		r.addedMB = r.peakMB - startMB
 		e.rounds++
 		out = append(out, r)
 		elapsed := time.Since(start).Seconds()
@@ -299,34 +309,48 @@ type metric struct {
 }
 
 // e2eMetrics are the end-to-end metrics every workload reports, in
-// BENCHMARK.json order. An operation's latency includes waits on the other
-// clients and experiments sharing the host, which come and go; its lower
-// decile is the steady figure, the median and p95 are in the report.
+// BENCHMARK.json order. Host time is the process's CPU time (user plus
+// system, all threads): on a shared host, neighbouring machines take the
+// CPUs away for seconds to minutes at a time (hypervisor steal), which
+// stretches every wall-clock figure of a run by up to half — and by how
+// much depends on the minute, not the program. The kernel does not charge
+// stolen time to the process, so its CPU time moves only with the work the
+// program does and with how the neighbours crowd the caches. The report
+// prints wall time (round wall, per-operation latency, set-up wall) beside
+// it.
+//
+// round_rss_mb is the resident memory a round adds at its peak: its
+// resident-set high-water mark less the resident set it started with. What
+// the runtime keeps resident after set-up and a full collection differs
+// from process to process by several MB, a third of a warm-replay round's
+// whole peak. The report prints the whole peak, peak_rss_mb, beside it.
 var e2eMetrics = []struct{ name, unit string }{
-	{"wall_s", "s"},
-	{"lat_ms_p10", "ms"},
-	{"peak_rss_mb", "MB"},
+	{"cpu_s", "s"},
+	{"round_rss_mb", "MB"},
 	{"setup_s", "s"},
 }
 
-// endToEnd summarizes the untraced rounds: round walls, operation
-// latencies, per-round memory peaks and CPU time, and set-up.
-func endToEnd(rounds []roundResult, setup sample) map[string]sample {
-	var walls, lats, peaks, cpus []float64
+// endToEnd summarizes the untraced rounds — CPU and wall time per round,
+// operation latencies, per-round memory peaks — and set-up.
+func endToEnd(rounds []roundResult, setup setupTimes) map[string]sample {
+	var walls, cpus, lats, peaks, added []float64
 	for _, r := range rounds {
 		walls = append(walls, r.wall.Seconds())
+		cpus = append(cpus, r.cpu.Seconds())
 		lats = append(lats, r.lats...)
 		peaks = append(peaks, r.peakMB)
-		cpus = append(cpus, r.cpu.Seconds())
+		added = append(added, r.addedMB)
 	}
 	l := summarize(lats)
 	return map[string]sample{
-		"wall_s":      summarize(walls),
-		"lat_ms":      l,
-		"lat_ms_p10":  l.at(l.p10),
-		"peak_rss_mb": summarize(peaks),
-		"cpu_s":       summarize(cpus),
-		"setup_s":     setup,
+		"cpu_s":        summarize(cpus),
+		"wall_s":       summarize(walls),
+		"lat_ms":       l,
+		"lat_ms_p10":   l.at(l.p10),
+		"peak_rss_mb":  summarize(peaks),
+		"round_rss_mb": summarize(added),
+		"setup_s":      setup.cpu,
+		"setup_wall_s": setup.wall,
 	}
 }
 
@@ -346,6 +370,7 @@ func provenance(root, name string, seed uint64, seconds float64, trace bool, npr
 		"tree_sha256":    treeDigest(root),
 		"rounds":         untraced,
 		"traced_rounds":  traced,
+		"host_time":      "cpu_s and setup_s are process CPU seconds",
 		"model_accuracy": "unvalidated against real hardware; no error figure",
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -373,7 +398,7 @@ func printReport(name string, prov map[string]any, e2e map[string]sample, rounds
 	row := func(metric, unit string, s sample) {
 		fmt.Printf("%-18s %-8s %12.6g %12.6g %12.6g %12.6g %12.6g %7d\n", metric, unit, s.value, s.q1, s.q3, s.p10, s.p95, s.n)
 	}
-	for _, m := range append(e2eMetrics, struct{ name, unit string }{"lat_ms", "ms"}, struct{ name, unit string }{"cpu_s", "s"}) {
+	for _, m := range append(e2eMetrics, []struct{ name, unit string }{{"wall_s", "s"}, {"lat_ms", "ms"}, {"lat_ms_p10", "ms"}, {"setup_wall_s", "s"}, {"peak_rss_mb", "MB"}}...) {
 		row(m.name, m.unit, e2e[m.name])
 	}
 	for _, n := range named(name, rounds) {

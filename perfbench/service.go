@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,12 +24,18 @@ import (
 )
 
 // serviceMixed is the user-facing service path: an in-process sweepd
-// (jobs.Manager + jobs.API on a loopback httptest server, fresh disk store
-// and pool) driven by a closed loop of nproc clients — sweepd callers wait
-// for their result. Each round replays the run's seeded stream of small
-// grid jobs: a client POSTs the next definition, waits on its event stream
-// for the end, then GETs the CSV and checks it byte for byte against an
-// exp.RunGrid reference computed in set-up. One operation is one job.
+// (jobs.Manager + jobs.API on a loopback httptest server, fresh pool and
+// fresh in-memory store, sweepd's default without -cache) driven by a
+// closed loop of nproc clients — sweepd callers wait for their result.
+// Each round replays the run's seeded stream of small grid jobs: a client
+// POSTs the next definition, waits on its event stream for the end, then
+// GETs the CSV and checks it byte for byte against an exp.RunGrid
+// reference computed in set-up. One operation is one job.
+//
+// The store is not disk-backed: writing a computed cell to disk is
+// measured in cold-suite, and on a shared host the cost of creating a file
+// swings by several times from minute to minute, which would drown the
+// service path's own cost.
 type serviceMixed struct {
 	stream  []jobSpec
 	cells   map[string]grid.Cell // content address -> cell, for the ladder
@@ -188,15 +193,7 @@ func jobsSeries(r *http.Request) string {
 }
 
 func (s *serviceMixed) round(e *env, tr *tracing) (roundResult, error) {
-	dir, err := e.dir("sweepd")
-	if err != nil {
-		return roundResult{}, err
-	}
-	defer os.RemoveAll(dir)
-	store, err := rcache.Open(dir, false)
-	if err != nil {
-		return roundResult{}, err
-	}
+	store := rcache.NewMemory()
 	pool := workloads.NewPool(workloads.DefaultPoolBudget)
 	exp.Cache, exp.InstancePool, exp.Tracer = store, pool, nil
 	mgr := jobs.New(jobs.Config{Queue: 16, History: len(s.stream)})

@@ -99,14 +99,15 @@ func resetPeakRSS() {
 	_ = os.WriteFile("/proc/self/clear_refs", []byte("5"), 0) // best effort, see above
 }
 
-// peakRSSMB returns the process's resident-set high-water mark in MB.
-func peakRSSMB() float64 {
+// statusMB returns a kB field of /proc/self/status in MB: VmHWM: for the
+// resident-set high-water mark, VmRSS: for the resident set now.
+func statusMB(field string) float64 {
 	b, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		return 0
 	}
 	for _, line := range strings.Split(string(b), "\n") {
-		if f := strings.Fields(line); len(f) >= 2 && f[0] == "VmHWM:" {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == field {
 			kb, _ := strconv.ParseFloat(f[1], 64)
 			return kb * 1024 / 1e6
 		}

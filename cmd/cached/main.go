@@ -18,10 +18,10 @@
 //
 // The HTTP surface (see internal/rcache's Server) is GET/HEAD/PUT on
 // /cache/<version>/<key> with ETag = "<key>" and conditional GET via
-// If-None-Match, plus three side-band endpoints: GET /stats (counters as
-// JSON), GET /metrics (the same counters in Prometheus text exposition
-// format, for scrapers), and GET /healthz (liveness: 200 with uptime and
-// the live schema version — what CI waits on before starting clients).
+// If-None-Match, plus two side-band endpoints: GET /metrics (the server's
+// counters in Prometheus text exposition format) and GET /healthz
+// (liveness: 200 with uptime and the live schema version — what CI waits on
+// before starting clients).
 // Entries are immutable and content-addressed, so the server needs no
 // coherence protocol: it is a dumb byte store whose keys carry all the
 // semantics.

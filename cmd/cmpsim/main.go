@@ -8,15 +8,14 @@
 //	cmpsim -workload spmv -cache ~/.repro-cache     # reuse sweep's results
 //
 // cmpsim shares the result cache — and its flag wiring (-cache,
-// -cache-remote, -cache-stats, -cache-readonly) — and the unified -stats
-// telemetry dump with cmd/sweep: a cell
-// cmpsim runs is the same content-addressed cell a full-size sweep runs, so
-// either tool can serve the other's warm entries, locally or through a
-// shared cached server (cmd/cached). (Quick-mode sweep entries are a
-// separate cache identity — quick is part of the cell key — so cmpsim,
-// which always keys full-size, never aliases them.) -attr and -timeline
-// need a live engine (their outputs are not part of the cached record), so
-// those runs bypass the cache.
+// -cache-remote, -cache-readonly) — and the unified -stats telemetry dump
+// with cmd/sweep: a cell cmpsim runs is the same content-addressed cell a
+// full-size sweep runs, so either tool can serve the other's warm entries,
+// locally or through a shared cached server (cmd/cached). (Quick-mode sweep
+// entries are a separate cache identity — quick is part of the cell key —
+// so cmpsim, which always keys full-size, never aliases them.) -attr and
+// -timeline need a live engine (their outputs are not part of the cached
+// record), so those runs bypass the cache.
 package main
 
 import (
@@ -90,7 +89,7 @@ func main() {
 	fmt.Printf("workload: %v\n", spec)
 
 	if *attr || *timeline {
-		if cli.Dir != "" || cli.Remote != "" || cli.Stats {
+		if cli.Dir != "" || cli.Remote != "" {
 			fmt.Fprintln(os.Stderr, "cmpsim: cache flags ignored — -attr/-timeline runs are uncached (their outputs are not part of the cached record)")
 		}
 		runVerbose(cfg, spec, *sched, *seed, *attr, *timeline)
@@ -119,12 +118,7 @@ func main() {
 	// does: a one-cell run that computed must still reach the shared server.
 	store.Close()
 	// Stats print even on failure, mirroring sweep: a failed cell is
-	// exactly when the operator wants the counters. Both lines match
-	// sweep's -cache-stats output (rcache + instance pool).
-	if cli.Stats {
-		fmt.Fprintln(os.Stderr, store.Stats())
-		fmt.Fprintln(os.Stderr, exp.InstancePool.Stats())
-	}
+	// exactly when the operator wants the counters.
 	if reg != nil {
 		reg.WriteText(os.Stderr)
 	}

@@ -24,7 +24,7 @@
 //	sweep -grid-expr 'workload=spmv;iters=3;cores=16;bw=2..16;metrics=cycles,bus-util'
 //
 // Grid cells flow through the same runner, instance pool, and result cache
-// as registry experiments: -parallel, -cache, -cache-remote, -cache-stats,
+// as registry experiments: -parallel, -cache, -cache-remote, -stats,
 // and -csv all apply, output is byte-identical at any parallelism and with
 // the cache off, cold, or warm. Grid sizes are explicit, so -quick does not
 // apply (it is rejected); grid cells are keyed full-size, so a grid cell
@@ -61,10 +61,6 @@
 //	-cache-replicas K  write each cell to its shard and K distinct ring
 //	                 successors, and read through the same set before
 //	                 declaring a miss, so one lost shard costs no warmth.
-//	-cache-stats     print hit/miss/inflight-dedup counters to stderr on
-//	                 exit, plus the workload instance pool's hit/evict line
-//	                 (cells that do simulate share one built instance per
-//	                 spec across scheduler arms; see internal/workloads.Pool)
 //	-cache-readonly  consult DIR/URL but never write either (CI-friendly)
 //	-cache-gc        prune entries from dead schema versions in DIR — and,
 //	                 with -cache-max-bytes N, LRU-evict down to the byte
@@ -75,8 +71,9 @@
 // (see DESIGN.md, "Observability"):
 //
 //	-stats           dump the unified metric registry — runner, sim, grid,
-//	                 rcache, and instance-pool counters under one stable
-//	                 naming — in Prometheus text format on exit
+//	                 rcache (hits by tier, misses, per-shard latches), and
+//	                 instance-pool counters under one stable naming — in
+//	                 Prometheus text format on exit
 //	-trace-out FILE  record one JSON span per simulation cell (wall time
 //	                 split into cache-lookup / pool-acquire / build / reset /
 //	                 simulate / store phases, plus the resolving tier) and
@@ -170,10 +167,6 @@ func main() {
 		// Same ordering as the registry path below: drain remote
 		// write-backs before stats or exit, print stats even on failure.
 		store.Close()
-		if cli.Stats {
-			fmt.Fprintln(os.Stderr, store.Stats())
-			fmt.Fprintln(os.Stderr, exp.InstancePool.Stats())
-		}
 		tel.finish()
 		if gerr != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", gerr)
@@ -217,15 +210,10 @@ func main() {
 	})
 	// Drain remote write-backs before stats or exit: results computed at
 	// the tail of the sweep must reach the shared server, and the
-	// remote-stores counter must be final when printed.
+	// rcache_remote_stores_total counter must be final when printed.
 	store.Close()
 	// Stats print even on failure: a run aborted by a bad cell (or a sick
-	// shared cache) is exactly when the operator wants the counters. The
-	// instance-pool line shows how much build work cell misses shared.
-	if cli.Stats {
-		fmt.Fprintln(os.Stderr, store.Stats())
-		fmt.Fprintln(os.Stderr, exp.InstancePool.Stats())
-	}
+	// shared cache) is exactly when the operator wants the counters.
 	tel.finish()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -22,8 +22,8 @@
 // /v1/jobs API reference.
 //
 // Endpoints: POST/GET /v1/jobs, GET /v1/jobs/{id} (+ /result, /events SSE,
-// /trace), DELETE /v1/jobs/{id}, plus /healthz, /stats, and /metrics
-// (Prometheus text format) like cmd/cached.
+// /trace), DELETE /v1/jobs/{id}, plus /healthz and /metrics (Prometheus
+// text format) like cmd/cached.
 //
 // Shutdown is graceful: on SIGINT/SIGTERM the server stops admitting
 // (submissions get 503, /healthz reports "draining"), cancels queued jobs,

@@ -8,9 +8,7 @@
 // subcomputations and keeps steals rare.
 //
 // Deque here is the sequential version used inside the deterministic
-// simulator, where all scheduler state is driven from one goroutine. The
-// concurrent, mutex-guarded version for the native runtime lives in
-// internal/native.
+// simulator, where all scheduler state is driven from one goroutine.
 package deque
 
 // Deque is a growable double-ended queue. The zero value is empty and ready

@@ -76,7 +76,7 @@ type cell struct {
 func runCells(quick bool, cells []cell) ([]metrics.Run, error) {
 	jobs := make([]runner.Job[metrics.Run], len(cells))
 	for i, c := range cells {
-		jobs[i] = func() (metrics.Run, error) { return runCell(c, quick) }
+		jobs[i] = func() (metrics.Run, error) { return runCell(c, quick, Tracer) }
 	}
 	return runner.Map(Parallelism, jobs)
 }
@@ -88,17 +88,11 @@ func runCells(quick bool, cells []cell) ([]metrics.Run, error) {
 //
 // The cell runs under pprof labels naming its (workload, config, sched)
 // identity, so a CPU profile taken over a sweep (`sweep -cpuprofile`)
-// attributes samples to cells, and under a Tracer span (when tracing is on)
-// timing the execution phases.
-func runCell(c cell, quick bool) (metrics.Run, error) {
-	return runCellTraced(c, quick, Tracer)
-}
-
-// runCellTraced is runCell with an explicit tracer: the registry path
-// records spans on the package-level Tracer, while the job service
-// (internal/jobs) hands every grid its own per-job tracer so one service
-// process can attribute spans to submissions.
-func runCellTraced(c cell, quick bool, tr *obs.Tracer) (r metrics.Run, err error) {
+// attributes samples to cells, and under a span on tr (nil records nothing)
+// timing the execution phases. The registry path passes the package-level
+// Tracer, while the job service (internal/jobs) hands every grid its own
+// per-job tracer so one service process can attribute spans to submissions.
+func runCell(c cell, quick bool, tr *obs.Tracer) (r metrics.Run, err error) {
 	sp := tr.StartSpan(c.spec.String(), c.cfg.Name, c.sched, quick)
 	defer sp.Finish()
 	labels := pprof.Labels("workload", c.spec.Name, "config", c.cfg.Name, "sched", c.sched)
@@ -149,10 +143,10 @@ func RunOneSeeded(cfg machine.Config, spec workloads.Spec, sched string, seed ui
 }
 
 // runOneSpan is the span-carrying compute path: instance acquisition times
-// into the span's pool-acquire/build/reset phases (split by AcquireSpan) and
+// into the span's pool-acquire/build/reset phases (split by Acquire) and
 // everything from arming through verification into its simulate phase.
 func runOneSpan(cfg machine.Config, spec workloads.Spec, sched string, seed uint64, sp *obs.Span) (metrics.Run, error) {
-	in := InstancePool.AcquireSpan(spec, sp)
+	in := InstancePool.Acquire(spec, sp)
 	endSim := sp.StartPhase(obs.PhaseSimulate)
 	defer endSim()
 	in.BeginRun()
@@ -285,7 +279,7 @@ func RunGridStream(ctx context.Context, g *grid.Grid, quick bool, tr *obs.Tracer
 			if err := ctx.Err(); err != nil {
 				return metrics.Run{}, err
 			}
-			return runCellTraced(c, quick, tr)
+			return runCell(c, quick, tr)
 		}
 	}
 	runs := make([]metrics.Run, n)

@@ -68,8 +68,8 @@ func multiprogOnce(sched string, cores int, quantum int64, quick bool) ([]string
 	specA := workloads.Spec{Name: "mergesort", N: sizing(1<<19, quick), Grain: 2048, Seed: Seed, SpaceID: 0}
 	specB := workloads.Spec{Name: "scan", N: sizing(1<<21, quick), Grain: 4096, Seed: Seed + 1, SpaceID: 1}
 
-	inA := InstancePool.Acquire(specA)
-	inB := InstancePool.Acquire(specB)
+	inA := InstancePool.Acquire(specA, nil)
+	inB := InstancePool.Acquire(specB, nil)
 	inA.BeginRun()
 	inB.BeginRun()
 

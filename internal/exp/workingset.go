@@ -25,7 +25,7 @@ func runA5Premature(quick bool) (*Result, error) {
 	spec := workloads.Spec{Name: "mergesort", N: n, Grain: 2048, Seed: Seed}
 	// Acquire (not Build): the analysis only reads the graph, and releasing
 	// the untouched instance seeds the pool for this experiment's own cells.
-	in := InstancePool.Acquire(spec)
+	in := InstancePool.Acquire(spec, nil)
 	shape := dag.Analyze(in.Graph)
 	InstancePool.Release(in)
 

@@ -31,7 +31,6 @@ const maxBodyBytes = 1 << 20
 //	                            schema), whatever has completed so far
 //	DELETE /v1/jobs/{id}        cancel (idempotent) → Status
 //	GET    /healthz             liveness + drain state; never walks state
-//	GET    /stats               manager counters as JSON
 //	GET    /metrics             the unified registry, Prometheus text format
 //
 // Submission rejections carry the admission reason as plain text: 400
@@ -56,7 +55,6 @@ func NewAPI(m *Manager, reg *obs.Registry) *API {
 	a.mux.HandleFunc("GET /v1/jobs/{id}/events", a.events)
 	a.mux.HandleFunc("GET /v1/jobs/{id}/trace", a.trace)
 	a.mux.HandleFunc("GET /healthz", a.healthz)
-	a.mux.HandleFunc("GET /stats", a.stats)
 	a.mux.HandleFunc("GET /metrics", a.metrics)
 	return a
 }
@@ -244,10 +242,6 @@ func (a *API) healthz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    st.QueueDepth,
 		Running:       st.Running,
 	})
-}
-
-func (a *API) stats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.m.Stats())
 }
 
 func (a *API) metrics(w http.ResponseWriter, r *http.Request) {

@@ -535,19 +535,8 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 	st := decodeStatus(t, postJob(t, api, tinyDef))
 	waitTerminal(t, m, st.ID)
 
-	req := httptest.NewRequest("GET", "/stats", nil)
+	req := httptest.NewRequest("GET", "/metrics", nil)
 	rec := httptest.NewRecorder()
-	api.ServeHTTP(rec, req)
-	var stats Stats
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Submitted != 1 || stats.Done != 1 || stats.CellsDone != 1 {
-		t.Fatalf("stats: %+v", stats)
-	}
-
-	req = httptest.NewRequest("GET", "/metrics", nil)
-	rec = httptest.NewRecorder()
 	api.ServeHTTP(rec, req)
 	if rec.Code != 200 {
 		t.Fatalf("/metrics: %d", rec.Code)

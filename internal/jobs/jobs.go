@@ -16,7 +16,7 @@
 //     (graceful shutdown).
 //   - API (api.go): the HTTP surface cmd/sweepd serves — submit, poll,
 //     result retrieval with content negotiation, SSE progress streaming,
-//     cancellation, and the /healthz, /stats, /metrics side-band.
+//     cancellation, and the /healthz and /metrics side-band.
 //
 // Every job gets its own obs.Tracer, so spans — and the cache-outcome tally
 // derived from them (a warm resubmission reports zero misses) — are
@@ -303,20 +303,21 @@ func stamp(t time.Time) string {
 	return t.UTC().Format(time.RFC3339Nano)
 }
 
-// Stats is the manager's counter snapshot, served as JSON by /stats.
+// Stats is the manager's counter snapshot; /metrics renders the same
+// counters as the sweepd_* family.
 type Stats struct {
-	Submitted        int64 `json:"submitted"`
-	Done             int64 `json:"done"`
-	Failed           int64 `json:"failed"`
-	Cancelled        int64 `json:"cancelled"`
-	RejectedInvalid  int64 `json:"rejected_invalid"`
-	RejectedQuota    int64 `json:"rejected_quota"`
-	RejectedFull     int64 `json:"rejected_queue_full"`
-	RejectedDraining int64 `json:"rejected_draining"`
-	CellsDone        int64 `json:"cells_done"`
-	QueueDepth       int   `json:"queue_depth"`
-	Running          int   `json:"running"`
-	Draining         bool  `json:"draining"`
+	Submitted        int64
+	Done             int64
+	Failed           int64
+	Cancelled        int64
+	RejectedInvalid  int64
+	RejectedQuota    int64
+	RejectedFull     int64
+	RejectedDraining int64
+	CellsDone        int64
+	QueueDepth       int
+	Running          int
+	Draining         bool
 }
 
 // Manager owns the job table, the admission queue, and the single executor

@@ -15,9 +15,9 @@
 //
 //   - Registry (registry.go): named counters, gauges, and histograms with a
 //     single sorted text rendering in the Prometheus exposition format. The
-//     same registry serves `sweep -stats` on stderr and cmd/cached's
-//     /metrics endpoint; the bespoke `rcache:` / `wpool:` stderr lines and
-//     the /stats JSON remain as compatibility views over the same counters.
+//     same registry serves `sweep -stats` / `cmpsim -stats` on stderr and
+//     the /metrics endpoints of cmd/cached and cmd/sweepd; it is the only
+//     rendering of the counters.
 //   - Tracer / Span (trace.go): one span per simulation cell, wall time
 //     split into the six phases of the cell path (cache lookup, pool
 //     acquire, build, reset, simulate, store), emitted as a JSONL event

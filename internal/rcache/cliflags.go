@@ -12,7 +12,6 @@ type CLI struct {
 	Dir      string // -cache: persistent directory; "" = in-memory only
 	Remote   string // -cache-remote: comma-separated cached server URLs; "" = local-only
 	Replicas int    // -cache-replicas: extra ring successors each record is written to
-	Stats    bool   // -cache-stats: print counters to stderr on exit
 	Readonly bool   // -cache-readonly: consult but never write
 	GC       bool   // -cache-gc: prune dead schema versions and exit (sweep only)
 	MaxBytes int64  // -cache-max-bytes: size budget -cache-gc enforces by LRU (sweep only)
@@ -26,7 +25,6 @@ func RegisterCLI(fs *flag.FlagSet, withGC bool) *CLI {
 	fs.StringVar(&c.Dir, "cache", "", "result-cache directory; empty = in-memory dedup only")
 	fs.StringVar(&c.Remote, "cache-remote", "", "comma-separated URLs of shared cache servers (cmd/cached); keys are consistent-hashed across them, misses fall through, computed cells write back")
 	fs.IntVar(&c.Replicas, "cache-replicas", 0, "write each record to this many extra ring successors (and read through them); needs a -cache-remote fleet larger than the count")
-	fs.BoolVar(&c.Stats, "cache-stats", false, "print result-cache counters to stderr on exit")
 	fs.BoolVar(&c.Readonly, "cache-readonly", false, "consult the result cache but never write entries (local or remote)")
 	if withGC {
 		fs.BoolVar(&c.GC, "cache-gc", false, "prune dead schema versions under -cache DIR (and enforce -cache-max-bytes), then exit")

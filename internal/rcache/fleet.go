@@ -294,8 +294,9 @@ func (r *remote) worker() {
 	}
 }
 
-// storesTotal and errsTotal aggregate the per-shard counters for the Stats
-// one-liner; the per-shard breakdown is Stats.Shards.
+// storesTotal and errsTotal aggregate the per-shard counters into the
+// fleet totals (Stats.RemoteStores/RemoteErrs and the rcache_remote_*
+// metrics); the per-shard breakdown is Stats.Shards.
 func (r *remote) storesTotal() (n int64) {
 	for _, t := range r.servers {
 		n += t.stores.Load()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // testKeys returns n distinct keys with well-spread ring positions (the
@@ -416,12 +417,20 @@ func TestFleetShardStatsAndLatch(t *testing.T) {
 	if latched != 1 {
 		t.Fatalf("stats %+v: want exactly one latched shard", st)
 	}
-	out := st.String()
-	if !strings.Contains(out, "rcache-shard[0]:") || strings.Count(out, "latched=true") != 1 {
-		t.Fatalf("Stats.String() missing per-shard lines:\n%s", out)
-	}
-	if !strings.HasPrefix(out, "rcache: lookups=") {
-		t.Fatalf("per-shard lines must not displace the first-line contract:\n%s", out)
+	// The registry rendering — what `sweep -stats` prints — carries the
+	// same verdict per shard.
+	reg := obs.NewRegistry()
+	s.RegisterMetrics(reg)
+	var b strings.Builder
+	reg.WriteText(&b)
+	out := "\n" + b.String()
+	for _, want := range []string{
+		`rcache_shard_latched{shard="http://127.0.0.1:1"} 1`,
+		fmt.Sprintf("rcache_shard_latched{shard=%q} 0", mustCanonical(t, urls[0])),
+	} {
+		if !strings.Contains(out, "\n"+want+"\n") {
+			t.Errorf("registry missing %q:\n%s", want, out)
+		}
 	}
 }
 

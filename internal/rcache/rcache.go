@@ -147,31 +147,6 @@ func (s Stats) Lookups() int64 { return s.MemHits + s.DiskHits + s.RemoteHits + 
 // Hits returns the lookups that avoided a fresh simulation.
 func (s Stats) Hits() int64 { return s.MemHits + s.DiskHits + s.RemoteHits + s.Dedup }
 
-// String renders the summary cmd/sweep prints to stderr. The first line —
-// its shape unchanged since PR 4 — is what the CI warm-cache smoke and
-// shared-cache-e2e jobs assert on; remote=N in the hits breakdown is the
-// warmth that arrived over the wire. With more than one shard attached, one
-// `rcache-shard[i]:` line per server follows, so fleet jobs can assert on
-// per-shard counters (e.g. `grep -c latched=true`).
-func (s Stats) String() string {
-	rate := 0.0
-	if n := s.Lookups(); n > 0 {
-		rate = 100 * float64(s.Hits()) / float64(n)
-	}
-	out := fmt.Sprintf("rcache: lookups=%d hits=%d (mem=%d disk=%d remote=%d) misses=%d inflight-dedup=%d stores=%d corrupt=%d remote-stores=%d remote-errs=%d hit-rate=%.1f%%",
-		s.Lookups(), s.Hits(), s.MemHits, s.DiskHits, s.RemoteHits, s.Misses, s.Dedup, s.Stores, s.Corrupt, s.RemoteStores, s.RemoteErrs, rate)
-	if len(s.Shards) > 1 {
-		var b strings.Builder
-		b.WriteString(out)
-		for i, sh := range s.Shards {
-			fmt.Fprintf(&b, "\nrcache-shard[%d]: url=%s gets=%d hits=%d errs=%d stores=%d latches=%d latched=%t",
-				i, sh.URL, sh.Gets, sh.Hits, sh.Errs, sh.Stores, sh.Latches, sh.Latched)
-		}
-		return b.String()
-	}
-	return out
-}
-
 // Store is a two-tier (memory + optional disk) memoization table with
 // singleflight deduplication. The zero value is not usable; construct with
 // NewMemory or Open. All methods are safe for concurrent use.

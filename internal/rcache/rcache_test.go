@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -350,16 +349,6 @@ func TestIsSchemaDirName(t *testing.T) {
 	for _, n := range no {
 		if isSchemaDirName(n) {
 			t.Errorf("isSchemaDirName(%q) = true, want false", n)
-		}
-	}
-}
-
-func TestStatsString(t *testing.T) {
-	st := Stats{MemHits: 3, DiskHits: 1, Misses: 0, Dedup: 2}
-	s := st.String()
-	for _, want := range []string{"lookups=6", "hits=6", "misses=0", "hit-rate=100.0%"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("stats line %q missing %q", s, want)
 		}
 	}
 }

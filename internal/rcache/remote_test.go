@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -305,7 +306,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 }
 
 // TestServerEviction: the server's byte budget evicts least-recently-served
-// entries after PUTs, and /stats reports it.
+// entries after PUTs, and Stats reports it.
 func TestServerEviction(t *testing.T) {
 	key := Key{12}
 	body, err := encodeRecord(key, testRun())
@@ -364,7 +365,8 @@ func TestServerEviction(t *testing.T) {
 	}
 }
 
-// TestServerStatsEndpoint: /stats is valid JSON with the counters wired.
+// TestServerStatsEndpoint: a client's write-back shows up in the server's
+// counters on /metrics, the one endpoint that renders them.
 func TestServerStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, 0)
 	a := openRemoteStore(t, ts.URL)
@@ -373,17 +375,23 @@ func TestServerStatsEndpoint(t *testing.T) {
 	}
 	a.Close()
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var st ServerStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("stats endpoint is not JSON: %v", err)
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Puts != 1 || st.Entries != 1 || st.PutBytes == 0 {
-		t.Fatalf("stats %+v: write-back not reflected", st)
+	out := "\n" + string(b)
+	for _, want := range []string{"cached_puts_total 1", "cached_store_entries 1"} {
+		if !strings.Contains(out, "\n"+want+"\n") {
+			t.Errorf("metrics missing %q: write-back not reflected:\n%s", want, out)
+		}
+	}
+	if !strings.Contains(out, "\ncached_put_bytes_total ") || strings.Contains(out, "\ncached_put_bytes_total 0\n") {
+		t.Errorf("metrics: cached_put_bytes_total not moved by the write-back:\n%s", out)
 	}
 }
 

@@ -68,9 +68,8 @@ func NewServer(dir string, maxBytes int64) (*Server, error) {
 }
 
 // registerMetrics exposes the server's counters as the cached_* family —
-// the same numbers /stats reports, rendered in the exposition format for
-// scrapers. The store-size gauges walk the directory at scrape time, like
-// /stats does per request.
+// the same numbers Stats snapshots, rendered in the exposition format for
+// /metrics. The store-size gauges walk the directory at scrape time.
 func (s *Server) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("cached_gets_total", "", "entry reads attempted against the store", s.gets.Load)
 	r.CounterFunc("cached_hits_total", "", "entry reads served from the store", s.hits.Load)
@@ -91,21 +90,21 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 		func() float64 { return obs.Since(s.start).Seconds() })
 }
 
-// ServerStats is the /stats response. Counter fields are cumulative since
-// boot; Entries/Bytes are the store's current contents.
+// ServerStats is a snapshot of a server's counters. Counter fields are
+// cumulative since boot; Entries/Bytes are the store's current contents.
 type ServerStats struct {
-	Gets           int64 `json:"gets"`
-	Hits           int64 `json:"hits"`
-	Misses         int64 `json:"misses"`
-	NotModified    int64 `json:"not_modified"`
-	Puts           int64 `json:"puts"`
-	PutBytes       int64 `json:"put_bytes"`
-	BadRequests    int64 `json:"bad_requests"`
-	EvictedEntries int64 `json:"evicted_entries"`
-	EvictedBytes   int64 `json:"evicted_bytes"`
-	Entries        int64 `json:"entries"`
-	Bytes          int64 `json:"bytes"`
-	MaxBytes       int64 `json:"max_bytes"`
+	Gets           int64
+	Hits           int64
+	Misses         int64
+	NotModified    int64
+	Puts           int64
+	PutBytes       int64
+	BadRequests    int64
+	EvictedEntries int64
+	EvictedBytes   int64
+	Entries        int64
+	Bytes          int64
+	MaxBytes       int64
 }
 
 // Stats snapshots the counters and walks the store for its current size.
@@ -149,9 +148,6 @@ func (s *Server) storeSize() (entries, bytes int64) {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
-	case "/stats":
-		s.serveStats(w, r)
-		return
 	case "/metrics":
 		s.serveMetrics(w, r)
 		return
@@ -162,7 +158,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	version, key, ok := parseEntryPath(r.URL.Path)
 	if !ok {
 		s.badRequests.Add(1)
-		http.Error(w, "want /cache/<version>/<key> or /stats", http.StatusNotFound)
+		http.Error(w, "want /cache/<version>/<key>, /metrics or /healthz", http.StatusNotFound)
 		return
 	}
 	switch r.Method {
@@ -176,23 +172,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) serveStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET, HEAD")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if r.Method == http.MethodHead {
-		return
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Stats())
-}
-
 // serveMetrics renders the registry in the Prometheus text exposition
-// format — the scraper-facing twin of /stats.
+// format.
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/obs"
@@ -85,14 +84,12 @@ func instanceCost(in *Instance) uint64 {
 // when one exists and building otherwise. The caller owns the instance
 // exclusively until Release. A nil pool always builds fresh (the pool-off
 // escape hatch for benchmarks and tests).
-func (p *Pool) Acquire(spec Spec) *Instance { return p.AcquireSpan(spec, nil) }
-
-// AcquireSpan is Acquire with an optional cell span (nil is Acquire
-// exactly): pool bookkeeping is timed as the span's pool-acquire phase, and
-// the arming work as its reset phase (idle hit) or build phase (fresh
-// construction). The span only observes; which instance is returned never
-// depends on it.
-func (p *Pool) AcquireSpan(spec Spec, sp *obs.Span) *Instance {
+//
+// sp is an optional cell span (nil records nothing): pool bookkeeping is
+// timed as its pool-acquire phase, and the arming work as its reset phase
+// (idle hit) or build phase (fresh construction). The span only observes;
+// which instance is returned never depends on it.
+func (p *Pool) Acquire(spec Spec, sp *obs.Span) *Instance {
 	if p == nil {
 		end := sp.StartPhase(obs.PhaseBuild)
 		defer end()
@@ -229,13 +226,6 @@ func (p *Pool) Stats() PoolStats {
 		s.Idle += len(free)
 	}
 	return s
-}
-
-// String renders the one-line summary cmd/sweep prints next to the rcache
-// counters under -cache-stats.
-func (s PoolStats) String() string {
-	return fmt.Sprintf("wpool: hits=%d misses=%d (contended=%d) evictions=%d dropped=%d idle=%d idle-bytes=%d",
-		s.Hits, s.Misses, s.Contended, s.Evictions, s.Dropped, s.Idle, s.IdleBytes)
 }
 
 // RegisterMetrics exposes the pool's counters on a registry as the wpool_*

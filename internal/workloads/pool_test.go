@@ -62,11 +62,11 @@ func TestPoolReusesReleasedInstance(t *testing.T) {
 	p := NewPool(1 << 30)
 	spec := smallSpec("matmul")
 
-	in1 := p.Acquire(spec)
+	in1 := p.Acquire(spec, nil)
 	runOn(t, in1, 2, "pdf")
 	p.Release(in1)
 
-	in2 := p.Acquire(spec)
+	in2 := p.Acquire(spec, nil)
 	if in2 != in1 {
 		t.Fatal("Acquire did not reuse the released instance")
 	}
@@ -84,8 +84,8 @@ func TestPoolReusesReleasedInstance(t *testing.T) {
 func TestPoolContendedAcquireBuildsFresh(t *testing.T) {
 	p := NewPool(1 << 30)
 	spec := smallSpec("scan")
-	in1 := p.Acquire(spec)
-	in2 := p.Acquire(spec) // in1 still checked out
+	in1 := p.Acquire(spec, nil)
+	in2 := p.Acquire(spec, nil) // in1 still checked out
 	if in1 == in2 {
 		t.Fatal("contended Acquire returned the checked-out instance")
 	}
@@ -105,9 +105,9 @@ func TestPoolContendedAcquireBuildsFresh(t *testing.T) {
 func TestPoolDiscardBalancesCheckedOutCount(t *testing.T) {
 	p := NewPool(1 << 30)
 	spec := smallSpec("scan")
-	in := p.Acquire(spec)
+	in := p.Acquire(spec, nil)
 	p.Discard(in)
-	in2 := p.Acquire(spec)
+	in2 := p.Acquire(spec, nil)
 	if in2 == in {
 		t.Fatal("discarded instance came back from the pool")
 	}
@@ -128,10 +128,10 @@ func TestPoolBudgetEvictsLeastRecentlyReleased(t *testing.T) {
 	if st.Evictions != 1 || st.Idle != 1 {
 		t.Fatalf("stats = %+v, want exactly one eviction leaving one idle", st)
 	}
-	if got := p.Acquire(specB); got != inB {
+	if got := p.Acquire(specB, nil); got != inB {
 		t.Fatal("survivor should have been the most recently released (B)")
 	}
-	if got := p.Acquire(specA); got == inA {
+	if got := p.Acquire(specA, nil); got == inA {
 		t.Fatal("evicted instance came back from the pool")
 	}
 }
@@ -149,9 +149,9 @@ func TestPoolDropsOversizeInstance(t *testing.T) {
 func TestNilPoolBuildsFresh(t *testing.T) {
 	var p *Pool
 	spec := smallSpec("histogram")
-	in1 := p.Acquire(spec)
+	in1 := p.Acquire(spec, nil)
 	p.Release(in1)
-	in2 := p.Acquire(spec)
+	in2 := p.Acquire(spec, nil)
 	if in1 == in2 {
 		t.Fatal("nil pool must not retain instances")
 	}
@@ -172,7 +172,7 @@ func TestPoolConcurrentAcquireRelease(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				in := p.Acquire(spec)
+				in := p.Acquire(spec, nil)
 				in.BeginRun() // mark dirty so the next Acquire must Reset
 				p.Release(in)
 			}

@@ -288,12 +288,12 @@ func TestInclusionPropertyRandomTraffic(t *testing.T) {
 }
 
 // TestInvalidationCountedOncePerCause pins the per-cause accounting of
-// Stats.Invalidations: SetAssoc.invalidate itself is count-free, and the
+// Stats.Invalidations: SetAssoc.clear itself is count-free, and the
 // hierarchy counts exactly one invalidation per L1 copy dropped — whether
 // the cause is coherence (another core takes exclusive ownership) or
 // inclusion (the L2 evicts a line some L1 still holds). The wart this
-// guards against: counting inside invalidate() either missed the inclusion
-// path or double-counted copies dropped through two call sites.
+// guards against: counting inside the drop primitive either missed the
+// inclusion path or double-counted copies dropped through two call sites.
 func TestInvalidationCountedOncePerCause(t *testing.T) {
 	// Coherence, upgrade path: two sharers, one writes.
 	h := New(smallParams(3))

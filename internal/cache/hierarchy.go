@@ -71,6 +71,39 @@ type Hierarchy struct {
 
 	ws   *WorkingSet  // optional profiler, nil when disabled
 	attr *Attribution // optional traffic attribution, nil when disabled
+
+	// Run-ahead state (see RunAheadHit). logs[c] holds core c's uncommitted
+	// run-ahead hits; logged and rewound are core bitmasks of non-empty logs
+	// and of cores rolled back since their last TakeRewind. evAt is the
+	// start cycle of the access in progress — its stepwise event time, which
+	// a line-crossing access keeps across all its lines.
+	logs    []hitLog
+	logged  uint64
+	rewound uint64
+	evAt    int64
+}
+
+// logCap bounds one core's run-ahead log; a full log ends the run-ahead.
+const logCap = 64
+
+// hitRec is the undo record of one run-ahead L1 hit.
+type hitRec struct {
+	at      int64  // start cycle of the hit
+	ip      int32  // the caller's action index, returned as the rewind point
+	way     int32  // L1 way index the hit touched
+	lastUse uint64 // the way's lastUse before the hit
+	write   bool
+	dirty   bool // the way's dirty bit before a write hit
+}
+
+// hitLog is one core's uncommitted run-ahead hits, in time order, plus the
+// rewind point and undone-hit count its rollbacks leave for TakeRewind.
+type hitLog struct {
+	recs     [logCap]hitRec
+	n        int
+	rewindAt int64
+	rewindIP int32
+	undone   int
 }
 
 // New builds a hierarchy. It panics on inconsistent geometry — experiment
@@ -88,6 +121,7 @@ func New(p Params) *Hierarchy {
 		bus:    NewBus(p.BusBPC),
 		lat:    p.Lat,
 		cores:  p.Cores,
+		logs:   make([]hitLog, p.Cores),
 	}
 	h.lineShift = h.l2.lineShift
 	for c := 0; c < p.Cores; c++ {
@@ -109,7 +143,8 @@ func (h *Hierarchy) L2() *SetAssoc { return h.l2 }
 // Bus returns the off-chip bus.
 func (h *Hierarchy) Bus() *Bus { return h.bus }
 
-// EnableWorkingSet attaches a working-set profiler.
+// EnableWorkingSet attaches a working-set profiler. It observes the global
+// order of accesses, so RunAheadHit refuses while it is attached.
 func (h *Hierarchy) EnableWorkingSet() *WorkingSet {
 	h.ws = NewWorkingSet(h.params.LineSize)
 	return h.ws
@@ -123,6 +158,7 @@ func (h *Hierarchy) EnableWorkingSet() *WorkingSet {
 // wrapper stays inlinable at the simulator's replay site (one call per
 // memory event instead of two).
 func (h *Hierarchy) Access(core int, addr mem.Addr, size int, write bool, now int64) int64 {
+	h.evAt = now
 	if size <= 0 {
 		size = 1
 	}
@@ -153,7 +189,126 @@ func (h *Hierarchy) LineShift() uint { return h.lineShift }
 // per memory event where Access (which must also carry the line-split loop)
 // costs two.
 func (h *Hierarchy) AccessLine(core int, tag uint64, write bool, now int64) int64 {
+	h.evAt = now
 	return h.accessLine(core, tag, write, now)
+}
+
+// RunAheadHit performs core's access to line tag at cycle at ahead of global
+// event order, provided it is a private L1 hit: a read of a resident line or
+// a write of an exclusively held one. Such a hit changes only core's own L1
+// (its LRU clock, the way's lastUse and dirty bit, Stats.Hits), so it
+// commutes with every other core's access except one that drops or
+// downgrades that same way — and those three touch sites roll it back (see
+// rollback). The hit is logged with ip, the caller's action index, which
+// TakeRewind hands back as the rewind point. It reports false and changes
+// nothing for any other access, when core's log is full, or while the
+// working-set profiler (which observes global access order) is attached.
+func (h *Hierarchy) RunAheadHit(core int, tag uint64, write bool, at int64, ip int) (int64, bool) {
+	lg := &h.logs[core]
+	if lg.n == logCap || h.ws != nil {
+		return 0, false
+	}
+	// Only way-predicted hits run ahead: a miss then costs two compares
+	// here instead of a set scan, and a resident line the predictor missed
+	// simply waits for its turn in exact order.
+	l1 := h.l1[core]
+	pe := &h.wayPred[core][tag&l1.setMask]
+	i := int(pe[0])
+	if l1.keys[i] != tag {
+		if i = int(pe[1]); l1.keys[i] != tag {
+			return 0, false
+		}
+		pe[0], pe[1] = pe[1], pe[0]
+	}
+	ln := &l1.lines[i]
+	if write && !ln.excl {
+		return 0, false
+	}
+	r := &lg.recs[lg.n]
+	r.at, r.ip, r.way = at, int32(ip), int32(i)
+	r.lastUse, r.write, r.dirty = ln.lastUse, write, ln.dirty
+	lg.n++
+	h.logged |= 1 << uint(core)
+	l1.touch(ln)
+	l1.Stats.Hits++
+	if write {
+		ln.dirty = true
+	}
+	return at + h.lat.L1, true
+}
+
+// Commit makes core's run-ahead hits final. Call it once no access that
+// precedes them in stepwise order can still arrive: when core's own next
+// event is the global minimum, and when replay stops.
+func (h *Hierarchy) Commit(core int) {
+	h.logged &^= 1 << uint(core)
+	h.logs[core].n = 0
+}
+
+// CommitAll commits every core's run-ahead hits.
+func (h *Hierarchy) CommitAll() {
+	for m := h.logged; m != 0; m &= m - 1 {
+		h.logs[bits.TrailingZeros64(m)].n = 0
+	}
+	h.logged = 0
+}
+
+// Rewound returns the bitmask of cores rolled back since their last
+// TakeRewind.
+func (h *Hierarchy) Rewound() uint64 { return h.rewound }
+
+// TakeRewind returns where rolled-back core must resume — the start cycle
+// and action index of its earliest undone hit — and how many hits were
+// undone, and clears core's rewound bit.
+func (h *Hierarchy) TakeRewind(core int) (at int64, ip int, undone int) {
+	lg := &h.logs[core]
+	at, ip, undone = lg.rewindAt, int(lg.rewindIP), lg.undone
+	lg.undone = 0
+	h.rewound &^= 1 << uint(core)
+	return at, ip, undone
+}
+
+// rollback undoes core c's run-ahead hits from its first hit on way (only
+// its first write hit when writesOnly) that comes after the access in
+// progress — made by core at cycle evAt — in stepwise order: a later
+// cycle, or the same cycle and a higher core id. The undone suffix is
+// restored newest first, so each way regains its pre-hit lastUse and (for
+// writes) dirty bit; a read never changed dirty, and its recorded value may
+// since have been folded by a downgrade, so reads leave dirty alone. Hits
+// before the suffix stay: they precede this access, and every later access
+// that can call rollback comes later still.
+func (h *Hierarchy) rollback(c, way, core int, writesOnly bool) {
+	lg := &h.logs[c]
+	recs := lg.recs[:lg.n]
+	k := 0
+	for k < len(recs) && (recs[k].at < h.evAt || recs[k].at == h.evAt && c < core) {
+		k++
+	}
+	for k < len(recs) && (int(recs[k].way) != way || writesOnly && !recs[k].write) {
+		k++
+	}
+	if k == len(recs) {
+		return
+	}
+	l1 := h.l1[c]
+	for j := len(recs) - 1; j >= k; j-- {
+		r := &recs[j]
+		ln := &l1.lines[r.way]
+		ln.lastUse = r.lastUse
+		if r.write {
+			ln.dirty = r.dirty
+		}
+	}
+	undone := len(recs) - k
+	l1.clock -= uint64(undone)
+	l1.Stats.Hits -= int64(undone)
+	lg.undone += undone
+	lg.rewindAt, lg.rewindIP = recs[k].at, recs[k].ip
+	lg.n = k
+	h.rewound |= 1 << uint(c)
+	if k == 0 {
+		h.logged &^= 1 << uint(c)
+	}
 }
 
 // accessLine performs the coherent lookup/fill protocol for a single line,
@@ -226,7 +381,7 @@ func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int6
 		// reaches the L2, not after the fill returns — otherwise queued
 		// writebacks would be stamped into the future and artificially
 		// serialize later demand fills.
-		l2ln = h.fillL2(tag, reqAt)
+		l2ln = h.fillL2(core, tag, reqAt)
 	} else {
 		h.l2.Stats.Hits++
 		l2ln = &h.l2.lines[j]
@@ -249,11 +404,11 @@ func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int6
 	return done
 }
 
-// fillL2 inserts a missing line into the L2, handling inclusion back-
-// invalidation of L1 copies and a dirty writeback of the victim. now is the
-// time the miss reached the L2 (pre-DRAM), which is when the victim's
-// writeback occupies the bus.
-func (h *Hierarchy) fillL2(tag uint64, now int64) *line {
+// fillL2 inserts a missing line into the L2 for core's access, handling
+// inclusion back-invalidation of L1 copies and a dirty writeback of the
+// victim. now is the time the miss reached the L2 (pre-DRAM), which is when
+// the victim's writeback occupies the bus.
+func (h *Hierarchy) fillL2(core int, tag uint64, now int64) *line {
 	vi := h.l2.victim(tag)
 	if h.l2.keys[vi] != invalidKey {
 		h.l2.Stats.Evictions++
@@ -265,14 +420,7 @@ func (h *Hierarchy) fillL2(tag uint64, now int64) *line {
 		if v.sharers != 0 {
 			vTag := h.l2.keys[vi]
 			for m := v.sharers; m != 0; m &= m - 1 {
-				c := bits.TrailingZeros64(m)
-				wasDirty, wasPresent := h.l1[c].invalidate(vTag)
-				if wasPresent {
-					// Inclusion back-invalidation, counted once per
-					// dropped copy (invalidate itself is count-free).
-					h.l1[c].Stats.Invalidations++
-				}
-				if wasDirty {
+				if h.revoke(bits.TrailingZeros64(m), vTag, core) {
 					dirty = true
 				}
 			}
@@ -337,27 +485,43 @@ func (h *Hierarchy) invalidateOthers(core int, tag uint64) {
 func (h *Hierarchy) invalidateOthersIn(core int, l2ln *line, tag uint64) {
 	for m := l2ln.sharers &^ (1 << uint(core)); m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
-		wasDirty, wasPresent := h.l1[c].invalidate(tag)
-		if wasPresent {
-			// Coherence invalidation, counted once per dropped copy
-			// (invalidate itself is count-free).
-			h.l1[c].Stats.Invalidations++
-		}
-		if wasDirty {
+		if h.revoke(c, tag, core) {
 			l2ln.dirty = true
 		}
 		l2ln.sharers &^= 1 << uint(c)
 	}
 }
 
+// revoke drops core c's L1 copy of tag, if present, for the access in
+// progress by core — a coherence invalidation or an inclusion
+// back-invalidation, counted once per dropped copy. It first rolls back
+// c's run-ahead hits on the line that follow the access, and reports
+// whether the dropped copy was dirty.
+func (h *Hierarchy) revoke(c int, tag uint64, core int) (wasDirty bool) {
+	l1 := h.l1[c]
+	i := l1.lookup(tag)
+	if i < 0 {
+		return false
+	}
+	if h.logged&(1<<uint(c)) != 0 {
+		h.rollback(c, i, core, false)
+	}
+	l1.Stats.Invalidations++
+	return l1.clear(i)
+}
+
 // downgradeOwners handles a read (or the lookup phase of a write) hitting a
 // line that some other L1 holds exclusively: the owner loses exclusivity and
 // folds dirty data into the L2. On writes, invalidateOthersIn then removes
-// the copy outright.
+// the copy outright. A downgrade commutes with the owner's run-ahead reads
+// of the line, so only its later run-ahead writes roll back.
 func (h *Hierarchy) downgradeOwners(core int, l2ln *line, tag uint64) {
 	for m := l2ln.sharers &^ (1 << uint(core)); m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
 		if i := h.l1[c].lookup(tag); i >= 0 {
+			if h.logged&(1<<uint(c)) != 0 {
+				h.rollback(c, i, core, true)
+			}
 			ln := &h.l1[c].lines[i]
 			if ln.excl {
 				if ln.dirty {

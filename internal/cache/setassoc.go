@@ -200,20 +200,6 @@ func (c *SetAssoc) clear(i int) (wasDirty bool) {
 	return c.lines[i].dirty
 }
 
-// invalidate drops tag from the cache if present, returning the line's prior
-// state for writeback handling. It is a pure state transition: the protocol
-// layer (Hierarchy) counts Stats.Invalidations at each call site, attributing
-// the event to its cause — coherence versus inclusion back-invalidation —
-// exactly once per line actually dropped. (An earlier version counted here,
-// before the caller had decided what the invalidation meant; the counts were
-// identical only because every caller happened to consume the result.)
-func (c *SetAssoc) invalidate(tag uint64) (wasDirty, wasPresent bool) {
-	if i := c.lookup(tag); i >= 0 {
-		return c.clear(i), true
-	}
-	return false, false
-}
-
 // ForEachValid calls fn for every valid powered-on line. Used for occupancy
 // and working-set accounting.
 func (c *SetAssoc) ForEachValid(fn func(lineAddr mem.Addr, dirty bool)) {

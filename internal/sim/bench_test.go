@@ -50,7 +50,9 @@ func benchReplay(b *testing.B, leaf func(i int) dag.RunFunc) {
 }
 
 // BenchmarkEngineStep measures replay throughput per task for the two
-// extremes of trace shape.
+// extremes of trace shape, and for lockstep-8c: eight cores each streaming
+// hits on a read-shared, L1-resident array, so their events interleave
+// cycle by cycle and nearly every action is a private-hit run-ahead.
 func BenchmarkEngineStep(b *testing.B) {
 	b.Run("compute-heavy", func(b *testing.B) {
 		benchReplay(b, func(int) dag.RunFunc {
@@ -71,6 +73,17 @@ func BenchmarkEngineStep(b *testing.B) {
 					v := arr.Get(r, base+k*67)
 					arr.Set(r, base+k*67, v+1)
 					r.Compute(2)
+				}
+			}
+		})
+	})
+	b.Run("lockstep-8c", func(b *testing.B) {
+		sp := mem.NewSpace(0)
+		arr := trace.NewInt64s(sp, "bench", 512) // 4 KiB: resident in every L1
+		benchReplay(b, func(i int) dag.RunFunc {
+			return func(r *trace.Recorder) {
+				for k := 0; k < 64; k++ {
+					arr.Get(r, (i+k*8)%512)
 				}
 			}
 		})

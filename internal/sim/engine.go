@@ -18,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -80,6 +81,14 @@ type Engine struct {
 	instructions int64
 	idleCycles   int64
 	dispatchCyc  int64
+
+	// Engine telemetry, flushed to the sim_* totals once per Run: wheel
+	// pops, private L1 hits replayed ahead of global order, rollbacks (one
+	// per core rewound by an access) and the hits those undid.
+	events         int64
+	runAheadHits   int64
+	rollbacks      int64
+	rolledBackHits int64
 
 	// CaptureOrder, when set before Run, records the completion order for
 	// schedule-validity checks in tests.
@@ -172,9 +181,7 @@ func (e *Engine) Run() metrics.Run {
 			e.g.Len()-e.done, e.g.Len()))
 	}
 	r := e.Result()
-	simRuns.Add(1)
-	simCycles.Add(e.now)
-	simInstrs.Add(e.instructions)
+	flushTelemetry(e)
 	e.Recycle()
 	return r
 }
@@ -186,6 +193,10 @@ func (e *Engine) Run() metrics.Run {
 // slow (refill) path.
 const wheelSlots = 64
 
+// noBound stands for "no other core": far beyond any limit, with headroom
+// for the run-ahead window added to it.
+const noBound = math.MaxInt64 / 2
+
 // RunUntil advances the simulation until every node is done or the clock
 // reaches limit, whichever is first.
 //
@@ -196,8 +207,9 @@ const wheelSlots = 64
 // occupied slot, lowest core id in it — which reproduces the stepwise
 // semantics exactly: the popped event is the global (time, core-id)
 // lexicographic minimum, because every core beyond the window is at least
-// wheelSlots cycles away (established at refill, and event times never
-// decrease), and bit order within a slot IS ascending core id, the
+// wheelSlots cycles away (established at refill, and event times only
+// decrease through a rollback, which never moves one below the event being
+// processed), and bit order within a slot IS ascending core id, the
 // tie-break the engine has always used. When the window drains, one
 // O(cores) scan of the dense nextAt array re-bases the wheel at the new
 // minimum. The upshot: the old O(cores) selection scan — the hottest lines
@@ -205,10 +217,11 @@ const wheelSlots = 64
 // event, and a core streaming consecutive actions (nextAt stepping +1) pops
 // itself back-to-back with O(1) work, subsuming the batch-advance special
 // case.
+//
+// A popped core then fuses further actions into the pop, first in exact
+// order and then ahead of it (private-hit run-ahead, see replay).
 func (e *Engine) RunUntil(limit int64) {
-	hier := e.hier
 	nextAt := e.nextAt
-	shift := hier.LineShift()
 	for !e.Done() {
 		if e.wheelOcc == 0 {
 			// Refill: re-base the window at the earliest pending event and
@@ -222,7 +235,7 @@ func (e *Engine) RunUntil(limit int64) {
 				}
 			}
 			if min >= limit {
-				e.now = limit
+				e.stop(limit)
 				return
 			}
 			e.wheelBase = min
@@ -239,7 +252,7 @@ func (e *Engine) RunUntil(limit int64) {
 		// end the run at limit. Check before popping: the event stays
 		// queued for a later RunUntil with a higher limit.
 		if t >= limit {
-			e.now = limit
+			e.stop(limit)
 			return
 		}
 		coreMask := e.wheel[slot]
@@ -249,84 +262,18 @@ func (e *Engine) RunUntil(limit int64) {
 		if coreMask == 0 {
 			e.wheelOcc &^= 1 << uint(slot)
 		}
+		e.events++
 
 		e.now = t
+		// c's event is the global minimum, so no access that precedes its
+		// run-ahead hits in stepwise order is still to come.
+		e.hier.Commit(c)
 		cs := &e.cores[c]
 		completed := false
 		if cs.task == nil {
 			e.dispatch(c)
-		} else if ip := cs.ip; ip < len(cs.actions) {
-			// bound is the earliest possible event time of any OTHER core:
-			// the wheel's next occupied slot, or past the window if none
-			// (cores outside the window are ≥ wheelBase+wheelSlots by the
-			// refill invariant). Current as of this pop, and stepping c
-			// never moves another core's nextAt, so it stays valid across
-			// the whole fused run below.
-			bound := e.wheelBase + wheelSlots
-			if e.wheelOcc != 0 {
-				bound = e.wheelBase + int64(bits.TrailingZeros64(e.wheelOcc))
-			}
-			// Local copies keep the fused loop free of repeated loads
-			// through cs (the compiler cannot prove AccessLine leaves
-			// cs.actions and e.instructions alone).
-			actions := cs.actions
-			instructions := int64(0)
-			a := actions[ip]
-			ip++
-			start := t
-			var done int64
-			for {
-				if a.Kind == trace.Compute {
-					done = t + int64(a.N)
-					instructions += int64(a.N)
-				} else {
-					// Pre-split the access so the common case — a read or
-					// write within one cache line — takes the inlinable
-					// single-line entry point (one call per event, not two).
-					write := a.Kind == trace.Store
-					off := uint64(a.Addr)
-					size := uint64(a.N)
-					if size == 0 {
-						size = 1 // Access's size<=0 clamp, preserved
-					}
-					first := off >> shift
-					if (off+size-1)>>shift == first {
-						done = hier.AccessLine(c, first, write, t)
-					} else {
-						done = hier.Access(c, a.Addr, int(a.N), write, t)
-					}
-					instructions++
-				}
-				// Fuse the next action into this pop when doing so is
-				// provably order-identical to stepwise execution. The next
-				// action's event time is done; it may be absorbed if it
-				// would be replayed within this call anyway (done < limit)
-				// and absorbing cannot reorder operations on state shared
-				// with other cores:
-				//   - a Compute touches only this core's clock and the
-				//     instruction counter (observed only at return), so it
-				//     commutes with anything and always fuses;
-				//   - a memory action operates on the shared hierarchy and
-				//     bus, whose internal state (LRU clock, bus queue)
-				//     advances in call order, so it fuses only when every
-				//     other core's next event is strictly later (done <
-				//     bound) — then stepwise would have replayed it next,
-				//     in exactly this order.
-				if ip >= len(actions) || done >= limit {
-					break
-				}
-				next := actions[ip]
-				if next.Kind != trace.Compute && done >= bound {
-					break
-				}
-				a = next
-				ip++
-				t = done
-			}
-			cs.ip = ip
-			cs.busy += done - start
-			e.instructions += instructions
-			nextAt[c] = done
+		} else if cs.ip < len(cs.actions) {
+			e.replay(c, limit)
 		} else {
 			e.complete(c)
 			completed = true
@@ -340,9 +287,181 @@ func (e *Engine) RunUntil(limit int64) {
 			e.wheelOcc |= 1 << d
 		}
 		if completed && e.Done() {
+			e.stop(e.now)
 			return
 		}
 	}
+}
+
+// stop ends a RunUntil at cycle now. Every event before it has been
+// processed, so all run-ahead hits (each started before limit) are final.
+func (e *Engine) stop(now int64) {
+	e.now = now
+	e.hier.CommitAll()
+}
+
+// replay executes core c's actions from its event at e.now, fusing as many
+// into this one pop as stepwise order allows, in two phases.
+//
+// Exact phase. The next action's event time is done; it is absorbed if it
+// would be replayed within this call anyway (done < limit) and absorbing
+// cannot reorder operations on state shared with other cores:
+//   - a Compute touches only this core's clock and the instruction counter
+//     (observed only at return), so it commutes with anything and always
+//     fuses;
+//   - a memory action operates on the shared hierarchy and bus, whose
+//     internal state (LRU clocks, bus queue) advances in call order, so it
+//     fuses only when every other core's next event is strictly later
+//     (done < bound) — then stepwise would have replayed it next, in
+//     exactly this order.
+//
+// Run-ahead phase. Past bound, the core keeps going while each memory
+// action is a private L1 hit (Hierarchy.RunAheadHit): such a hit touches
+// only this core's L1, so it commutes with every other core's access except
+// one that invalidates or downgrades the same way, and the hierarchy rolls
+// it back at exactly those sites. Misses, upgrades and line-crossing
+// accesses end the phase; they, dispatch and complete stay in exact order.
+// The core runs at most one wheel window past bound (wheelSlots one-cycle
+// hits also fill its undo log): without that limit, memory-bound cells with
+// small L2s ran measurably slower (see DESIGN.md).
+func (e *Engine) replay(c int, limit int64) {
+	hier := e.hier
+	t := e.now
+	cs := &e.cores[c]
+	// bound is the earliest possible event time of any OTHER core: the
+	// wheel's next occupied slot, or, with no other core in the window, the
+	// exact minimum over them (cores outside the window are ≥
+	// wheelBase+wheelSlots by the refill invariant). Stepping c never moves
+	// another core's nextAt forward, and a rollback lowers the bound to the
+	// rewound core's new next event.
+	bound := int64(noBound)
+	if e.wheelOcc != 0 {
+		bound = e.wheelBase + int64(bits.TrailingZeros64(e.wheelOcc))
+	} else {
+		for i, at := range e.nextAt {
+			if i != c && at < bound {
+				bound = at
+			}
+		}
+	}
+	shift := hier.LineShift()
+	// Local copies keep the fused loops free of repeated loads through cs
+	// (the compiler cannot prove AccessLine leaves cs.actions and
+	// e.instructions alone).
+	actions := cs.actions
+	ip := cs.ip
+	instructions := int64(0)
+	a := actions[ip]
+	ip++
+	var done int64
+	for {
+		if a.Kind == trace.Compute {
+			done = t + int64(a.N)
+			instructions += int64(a.N)
+		} else {
+			// Pre-split the access so the common case — a read or write
+			// within one cache line — takes the inlinable single-line entry
+			// point (one call per event, not two).
+			if tag, ok := lineOf(a, shift); ok {
+				done = hier.AccessLine(c, tag, a.Kind == trace.Store, t)
+			} else {
+				done = hier.Access(c, a.Addr, int(a.N), a.Kind == trace.Store, t)
+			}
+			instructions++
+			if hier.Rewound() != 0 {
+				bound = e.rewind(bound)
+			}
+		}
+		if ip >= len(actions) || done >= limit {
+			break
+		}
+		next := actions[ip]
+		if next.Kind != trace.Compute && done >= bound {
+			break
+		}
+		a = next
+		ip++
+		t = done
+	}
+
+	end := bound + wheelSlots
+	hits := int64(0)
+	for ip < len(actions) && done < limit {
+		a := actions[ip]
+		if a.Kind == trace.Compute {
+			done += int64(a.N)
+			instructions += int64(a.N)
+		} else {
+			tag, ok := lineOf(a, shift)
+			if !ok || done >= end {
+				break
+			}
+			hit, ok := hier.RunAheadHit(c, tag, a.Kind == trace.Store, done, ip)
+			if !ok {
+				break
+			}
+			done = hit
+			instructions++
+			hits++
+		}
+		ip++
+	}
+	e.runAheadHits += hits
+	cs.ip = ip
+	cs.busy += done - e.now
+	e.instructions += instructions
+	e.nextAt[c] = done
+}
+
+// lineOf returns the line tag of a memory action and whether the access
+// lies within that one line.
+func lineOf(a trace.Action, shift uint) (uint64, bool) {
+	off := uint64(a.Addr)
+	size := uint64(a.N)
+	if size == 0 {
+		size = 1 // Access's size<=0 clamp, preserved
+	}
+	first := off >> shift
+	return first, (off+size-1)>>shift == first
+}
+
+// rewind moves every core the hierarchy rolled back during the access just
+// made to its earliest undone hit: ip, next-event time, busy cycles,
+// instruction count and wheel slot. The new event time is never before the
+// access's own, so the core lands back in (or beyond) the window. It
+// returns bound lowered to the rewound cores' new event times.
+func (e *Engine) rewind(bound int64) int64 {
+	for m := e.hier.Rewound(); m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
+		at, ip, undone := e.hier.TakeRewind(c)
+		cs := &e.cores[c]
+		for _, a := range cs.actions[ip:cs.ip] {
+			if a.Kind == trace.Compute {
+				e.instructions -= int64(a.N)
+			} else {
+				e.instructions--
+			}
+		}
+		cs.ip = ip
+		cs.busy -= e.nextAt[c] - at
+		if d := uint64(e.nextAt[c] - e.wheelBase); d < wheelSlots {
+			e.wheel[d] &^= 1 << uint(c)
+			if e.wheel[d] == 0 {
+				e.wheelOcc &^= 1 << d
+			}
+		}
+		e.nextAt[c] = at
+		if d := uint64(at - e.wheelBase); d < wheelSlots {
+			e.wheel[d] |= 1 << uint(c)
+			e.wheelOcc |= 1 << d
+		}
+		e.rollbacks++
+		e.rolledBackHits += int64(undone)
+		if at < bound {
+			bound = at
+		}
+	}
+	return bound
 }
 
 // RunFor advances the simulation by delta cycles from the current clock.

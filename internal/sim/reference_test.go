@@ -2,16 +2,21 @@ package sim
 
 // Differential testing of the optimized engine against a stepwise reference.
 //
-// RunUntil earns its speed from three semantic claims: the calendar wheel
+// RunUntil earns its speed from four semantic claims: the calendar wheel
 // pops events in exactly the stepwise (time, core-id) lexicographic order;
 // fusing an action run into one pop never reorders operations on shared
-// cache/bus state; and the pre-split AccessLine path is Access exactly. The
-// reference implementation below keeps the simple invariants — one global
-// min-scan per event, one action per event, Hierarchy.Access for every
-// memory action, no wheel, no fusion — and the tests here drive both
-// implementations over seeded-random DAGs, schedulers, core counts, and
-// quantum sizes, demanding identical cycles, instruction counts, cache and
-// bus statistics, and completion order.
+// cache/bus state; a private L1 hit replayed ahead of global order commutes
+// with every other core's access, except one that drops or downgrades the
+// same way after it in stepwise order, and the hierarchy then rolls it back
+// and the engine rewinds the core exactly; and the pre-split AccessLine
+// path is Access exactly. The reference implementation below keeps the
+// simple invariants — one global min-scan per event, one action per event,
+// Hierarchy.Access for every memory action, no wheel, no fusion, no
+// run-ahead — and the tests here drive both implementations over
+// seeded-random DAGs, schedulers, core counts, and quantum sizes, demanding
+// identical cycles, instruction counts, cache and bus statistics, and
+// completion order. Each differential also asserts, through the engine's
+// counters, that run-ahead hits and rollbacks actually happened in it.
 
 import (
 	"fmt"
@@ -30,7 +35,8 @@ import (
 // with the minimum next-event time (ties to the lowest core id), process
 // exactly one event, repeat. It shares dispatch/complete and the cache
 // hierarchy with the real engine — the machinery under test is only event
-// selection, action fusion, and the access fast path.
+// selection, action fusion, run-ahead with rollback, and the access fast
+// path.
 func refRunUntil(e *Engine, limit int64) {
 	for !e.Done() {
 		c := 0
@@ -140,8 +146,9 @@ func schedByIndex(i int, o core.Overheads, seed uint64) core.Scheduler {
 var schedNames = []string{"pdf", "ws", "ws-stealnewest", "fifo"}
 
 // comparePair runs the same (graph seed, scheduler, cores) cell through the
-// optimized engine and the reference, then compares every observable.
-func comparePair(t *testing.T, label string, mkGraph func(*xprng.PRNG, int) *dag.Graph, seed uint64, schedIdx, cores, depth int, drive func(real, ref *Engine)) {
+// optimized engine and the reference, then compares every observable. It
+// returns the optimized engine, whose counters show which paths ran.
+func comparePair(t *testing.T, label string, mkGraph func(*xprng.PRNG, int) *dag.Graph, seed uint64, schedIdx, cores, depth int, drive func(real, ref *Engine)) *Engine {
 	t.Helper()
 	cfg := testConfig(cores)
 	o := overheadsOf(cfg)
@@ -171,6 +178,22 @@ func comparePair(t *testing.T, label string, mkGraph func(*xprng.PRNG, int) *dag
 	if rs, fs := hierState(real.Hierarchy(), cores), hierState(ref.Hierarchy(), cores); rs != fs {
 		t.Fatalf("%s: cache state diverged\nreal:\n%s\nref:\n%s", label, rs, fs)
 	}
+	return real
+}
+
+// requireRunAhead fails the test unless the engines ran both run-ahead
+// paths — hits replayed ahead of global order, and rollbacks of them — so a
+// differential that passes has actually compared them.
+func requireRunAhead(t *testing.T, label string, engines ...*Engine) {
+	t.Helper()
+	var hits, rollbacks int64
+	for _, e := range engines {
+		hits += e.runAheadHits
+		rollbacks += e.rollbacks
+	}
+	if hits == 0 || rollbacks == 0 {
+		t.Fatalf("%s: run-ahead hits %d, rollbacks %d — the differential no longer exercises both", label, hits, rollbacks)
+	}
 }
 
 // TestEngineMatchesReference drives full runs over the cross product of
@@ -181,41 +204,63 @@ func TestEngineMatchesReference(t *testing.T) {
 		"memheavy": memHeavyGraph,
 	}
 	for gname, mk := range graphs {
+		var engines []*Engine
 		for schedIdx := range schedNames {
 			for _, cores := range []int{1, 2, 3, 8} {
 				for seed := uint64(1); seed <= 3; seed++ {
 					label := fmt.Sprintf("%s/%s/cores=%d/seed=%d", gname, schedNames[schedIdx], cores, seed)
-					comparePair(t, label, mk, seed, schedIdx, cores, 5, func(real, ref *Engine) {
+					engines = append(engines, comparePair(t, label, mk, seed, schedIdx, cores, 5, func(real, ref *Engine) {
 						real.RunUntil(hardLimit)
 						refRun(ref)
-					})
+					}))
 				}
 			}
 		}
+		requireRunAhead(t, gname, engines...)
 	}
 }
 
 // TestEngineMatchesReferenceChunked re-runs the differential with RunFor
 // quanta, comparing clock and instruction counts at every quantum boundary —
-// the regression class where a fused or batched event slips past the limit
-// that stepwise execution would have honored.
+// the regression class where a fused, batched or run-ahead event slips past
+// the limit that stepwise execution would have honored, or a rollback
+// straddles a boundary. The memory-heavy cell covers misses and coherence;
+// the 8-core random cell is one whose cores run ahead and roll back under
+// every scheduler.
 func TestEngineMatchesReferenceChunked(t *testing.T) {
+	cells := []struct {
+		name         string
+		mk           func(*xprng.PRNG, int) *dag.Graph
+		seed         uint64
+		cores, depth int
+	}{
+		{"memheavy", memHeavyGraph, 11, 4, 4},
+		{"random", randomGraph, 2, 8, 5},
+	}
 	for _, quantum := range []int64{1, 7, 137, 4099} {
-		for schedIdx := range schedNames {
-			label := fmt.Sprintf("%s/q=%d", schedNames[schedIdx], quantum)
-			comparePair(t, label, memHeavyGraph, 11, schedIdx, 4, 4, func(real, ref *Engine) {
-				for !real.Done() || !ref.Done() {
-					real.RunFor(quantum)
-					refRunFor(ref, quantum)
-					if real.Now() != ref.Now() {
-						t.Fatalf("%s: clocks diverged mid-run: real %d ref %d", label, real.Now(), ref.Now())
+		var engines []*Engine
+		for _, cell := range cells {
+			for schedIdx := range schedNames {
+				label := fmt.Sprintf("%s/%s/q=%d", cell.name, schedNames[schedIdx], quantum)
+				engines = append(engines, comparePair(t, label, cell.mk, cell.seed, schedIdx, cell.cores, cell.depth, func(real, ref *Engine) {
+					for !real.Done() || !ref.Done() {
+						real.RunFor(quantum)
+						refRunFor(ref, quantum)
+						if real.Now() != ref.Now() {
+							t.Fatalf("%s: clocks diverged mid-run: real %d ref %d", label, real.Now(), ref.Now())
+						}
+						if real.Instructions() != ref.Instructions() {
+							t.Fatalf("%s: instructions diverged at cycle %d: real %d ref %d",
+								label, real.Now(), real.Instructions(), ref.Instructions())
+						}
 					}
-					if real.Instructions() != ref.Instructions() {
-						t.Fatalf("%s: instructions diverged at cycle %d: real %d ref %d",
-							label, real.Now(), real.Instructions(), ref.Instructions())
-					}
-				}
-			})
+				}))
+			}
+		}
+		// A one-cycle quantum leaves no room to run ahead: every action
+		// started before the limit is the stepwise-next one.
+		if quantum > 1 {
+			requireRunAhead(t, fmt.Sprintf("q=%d", quantum), engines...)
 		}
 	}
 }
@@ -231,7 +276,7 @@ func TestEngineMatchesReferenceSharedHierarchy(t *testing.T) {
 
 	mk := func(step func(*Engine, int64)) (func() bool, *cache.Hierarchy, *Engine, *Engine) {
 		a := New(cfg, memHeavyGraph(xprng.New(21), 4), core.NewPDF(o), nil)
-		b := New(cfg, randomGraph(xprng.New(22), 4), core.NewWS(o, 5), a.Hierarchy())
+		b := New(cfg, randomGraph(xprng.New(22), 5), core.NewWS(o, 5), a.Hierarchy())
 		tick := func() bool {
 			if !a.Done() {
 				step(a, quantum)
@@ -265,5 +310,75 @@ func TestEngineMatchesReferenceSharedHierarchy(t *testing.T) {
 	}
 	if rs, fs := hierState(realHier, cfg.Cores), hierState(refHier, cfg.Cores); rs != fs {
 		t.Fatalf("shared cache state diverged\nreal:\n%s\nref:\n%s", rs, fs)
+	}
+	requireRunAhead(t, "shared", realA, realB)
+}
+
+// TestRunAheadRollbackTie drives the rollback tie rule end to end on two
+// cores. A reader streams L1 hits on one line while a writer computes and
+// then stores to it. The reader runs ahead one window — 64 one-cycle hits —
+// from the cycle of the writer's store, so its first logged hit ties with
+// the store. Stepwise order breaks the tie by core id: with the reader on
+// core 0 its tied hit comes first and survives (63 undone); on core 1 it
+// comes second and is undone with the rest (64). Either way the run must
+// match the reference exactly and leave inclusion and the directory intact.
+func TestRunAheadRollbackTie(t *testing.T) {
+	for _, tc := range []struct {
+		readerCore int
+		undone     int64
+	}{{0, 63}, {1, 64}} {
+		mk := func() *dag.Graph {
+			arr := trace.NewInt64s(mem.NewSpace(0), "line", 8)
+			g := dag.New()
+			root := g.AddNode("root", nil)
+			join := g.AddNode("join", nil)
+			reader := g.AddNode("reader", func(r *trace.Recorder) {
+				for i := 0; i < 2000; i++ {
+					arr.Get(r, i%8)
+				}
+			})
+			writer := g.AddNode("writer", func(r *trace.Recorder) {
+				r.Compute(600)
+				arr.Set(r, 3, 1)
+			})
+			// PDF hands the leftmost child to core 0, which finishes the
+			// root; core 1 picks up the other at its next idle poll.
+			if tc.readerCore == 0 {
+				g.Fan(root, join, reader, writer)
+			} else {
+				g.Fan(root, join, writer, reader)
+			}
+			g.MustFreeze()
+			return g
+		}
+		cfg := testConfig(2)
+		o := overheadsOf(cfg)
+		real := New(cfg, mk(), core.NewPDF(o), nil)
+		real.CaptureTimeline = true
+		ref := New(cfg, mk(), core.NewPDF(o), nil)
+		real.RunUntil(hardLimit)
+		refRun(ref)
+
+		label := fmt.Sprintf("reader on core %d", tc.readerCore)
+		for _, sp := range real.Timeline {
+			if real.g.Node(sp.Node).Label == "reader" && sp.Core != tc.readerCore {
+				t.Fatalf("%s: reader ran on core %d", label, sp.Core)
+			}
+		}
+		if rr, fr := real.Result(), ref.Result(); rr != fr {
+			t.Fatalf("%s: results diverged\nreal %+v\nref  %+v", label, rr, fr)
+		}
+		if rs, fs := hierState(real.Hierarchy(), 2), hierState(ref.Hierarchy(), 2); rs != fs {
+			t.Fatalf("%s: cache state diverged\nreal:\n%s\nref:\n%s", label, rs, fs)
+		}
+		if real.rollbacks != 1 || real.rolledBackHits != tc.undone {
+			t.Fatalf("%s: %d rollbacks undid %d hits, want 1 undoing %d",
+				label, real.rollbacks, real.rolledBackHits, tc.undone)
+		}
+		for _, e := range []*Engine{real, ref} {
+			if err := e.Hierarchy().CheckInclusion(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
 	}
 }

@@ -1,26 +1,20 @@
 // Command reprolint statically enforces this repository's determinism and
-// cache-key contract. It is one binary with two drivers over the same four
-// analyzers (see internal/lint):
+// cache-key contract by running the four analyzers of internal/lint:
 //
-//	reprolint [flags] [packages]     # standalone: load via the go toolchain
-//	go vet -vettool=$(pwd)/reprolint ./...   # modular: driven by cmd/go
+//	reprolint [flags] [packages]
 //
-// Standalone mode resolves package patterns (default ./...) with
-// `go list -export`, analyzes every module package, and exits 1 on any
-// unsuppressed finding. Vet mode speaks cmd/go's vettool protocol (-V=full,
-// -flags, unit.cfg), so `go vet` caches clean packages and re-analyzes only
-// what changed; both modes print identical diagnostics.
+// It resolves package patterns (default ./...) with `go list -export`,
+// analyzes every module package in one process, and prints each
+// unsuppressed finding to stderr. Exit codes: 0 clean, 1 findings, 2 load
+// or internal error.
 //
 // Flags:
 //
-//	-detrand / -maporder / -fpcomplete / -tokenhold
-//	        run only the named analyzers (default: all four)
 //	-unused-allows
 //	        also fail on //repro:allow annotations that no longer suppress
 //	        anything — the self-audit that keeps the debt inventory live
 //	-allows
 //	        print every //repro:allow annotation with its audited reason
-//	-json   emit the `go vet -json` diagnostic tree instead of plain text
 //
 // Suppressions are audited comments on the flagged line or the line above:
 //
@@ -31,12 +25,9 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -48,42 +39,15 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("reprolint: ")
-
-	// -V minimally complies with the version protocol `go vet` uses for
-	// build caching: report a content hash of the executable so edits to
-	// the tool invalidate cached vet results.
-	flag.Var(versionFlag{}, "V", "print version and exit (-V=full, for the go command)")
-	printFlags := flag.Bool("flags", false, "print analyzer flags in JSON (for the go command)")
-	jsonOut := flag.Bool("json", false, "emit JSON output")
-	_ = flag.Int("c", -1, "display offending line with this many lines of context (accepted for vet compatibility; ignored)")
 	unusedAllows := flag.Bool("unused-allows", false, "fail on //repro:allow annotations that no longer match a finding")
 	printAllows := flag.Bool("allows", false, "print the //repro:allow inventory and exit")
-
-	enabled := map[string]*bool{}
-	for _, a := range lint.Analyzers() {
-		enabled[a.Name] = flag.Bool(a.Name, false, "run only analyzers enabled by name ("+a.Doc+")")
-	}
 	flag.Parse()
-
-	if *printFlags {
-		printFlagsJSON()
-		return
-	}
-
-	analyzers := selectAnalyzers(enabled)
-	args := flag.Args()
-
-	// cmd/go's vettool invocation: a single argument naming a .cfg file.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(lint.VetUnit(args[0], analyzers, *unusedAllows, *jsonOut))
-	}
-
-	os.Exit(standalone(args, analyzers, *unusedAllows, *printAllows, *jsonOut))
+	os.Exit(standalone(flag.Args(), *unusedAllows, *printAllows))
 }
 
 // standalone loads packages through the go toolchain and analyzes them all
 // in one process. Exit codes: 0 clean, 1 findings, 2 load/internal error.
-func standalone(patterns []string, analyzers []*lint.Analyzer, unusedAllows, printAllows, jsonOut bool) int {
+func standalone(patterns []string, unusedAllows, printAllows bool) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -108,50 +72,21 @@ func standalone(patterns []string, analyzers []*lint.Analyzer, unusedAllows, pri
 
 	exit := 0
 	for _, t := range targets {
-		diags, err := lint.RunAnalyzers(fset, t, analyzers)
+		diags, err := lint.RunAnalyzers(fset, t, lint.Analyzers())
 		if err != nil {
 			log.Print(err)
 			return 2
 		}
-		diags = lint.Filter(fset, lint.NonTestFiles(fset, t.Files), diags, unusedAllows)
-		if len(diags) == 0 {
-			continue
-		}
-		exit = 1
-		if jsonOut {
-			lint.PrintJSON(os.Stdout, fset, t.Path, diags)
-			continue
-		}
-		for _, d := range diags {
-			printRel(fset, d)
+		for _, d := range lint.Filter(fset, lint.NonTestFiles(fset, t.Files), diags, unusedAllows) {
+			fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", relPosition(fset, d.Pos), d.Message, d.Analyzer)
+			exit = 1
 		}
 	}
 	return exit
 }
 
-// selectAnalyzers honors vet's convention: naming any analyzer flag runs
-// only the named ones; naming none runs the whole suite.
-func selectAnalyzers(enabled map[string]*bool) []*lint.Analyzer {
-	any := false
-	for _, on := range enabled {
-		any = any || *on
-	}
-	var out []*lint.Analyzer
-	for _, a := range lint.Analyzers() { // stable suite order, not map order
-		if !any || *enabled[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// printRel prints a diagnostic with the file path relative to the current
-// directory when that is shorter — the standalone UX; vet mode keeps the
-// build system's absolute paths.
-func printRel(fset *token.FileSet, d lint.Diagnostic) {
-	fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", relPosition(fset, d.Pos), d.Message, d.Analyzer)
-}
-
+// relPosition renders pos with the file path relative to the current
+// directory when the file lies below it.
 func relPosition(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
 	if wd, err := os.Getwd(); err == nil {
@@ -160,58 +95,4 @@ func relPosition(fset *token.FileSet, pos token.Pos) string {
 		}
 	}
 	return p.String()
-}
-
-// printFlagsJSON answers the `-flags` handshake: cmd/go asks the tool which
-// flags it supports so it can split "go vet" arguments between the build
-// system and the tool.
-func printFlagsJSON() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		if f.Name == "V" || f.Name == "flags" {
-			return
-		}
-		b, isBool := f.Value.(interface{ IsBoolFlag() bool })
-		out = append(out, jsonFlag{Name: f.Name, Bool: isBool && b.IsBoolFlag(), Usage: f.Usage})
-	})
-	data, err := json.MarshalIndent(out, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
-}
-
-// versionFlag implements the -V=full protocol: print the executable's
-// content hash so go's build cache invalidates vet results when the tool
-// changes.
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		log.Fatalf("unsupported flag value: -V=%s (use -V=full)", s)
-	}
-	prog, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	f, err := os.Open(prog)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", prog, string(h.Sum(nil)))
-	os.Exit(0)
-	return nil
 }

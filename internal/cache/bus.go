@@ -3,7 +3,7 @@ package cache
 // Bus models the finite off-chip bandwidth that makes the paper's
 // "bandwidth-limited" benchmark class bandwidth-limited. Every off-chip
 // transfer (miss fill or dirty writeback) occupies the bus for
-// lineSize/BytesPerCycle cycles; concurrent requests queue FIFO. DRAM access
+// lineSize/bytesPerCycle cycles; concurrent requests queue FIFO. DRAM access
 // latency itself is pipelined (multiple outstanding misses overlap their
 // latency, but never their bus occupancy), which is the standard bandwidth
 // bottleneck abstraction.
@@ -37,9 +37,6 @@ func NewBus(bytesPerCycle float64) *Bus {
 	}
 	return b
 }
-
-// BytesPerCycle returns the configured bandwidth (0 = infinite).
-func (b *Bus) BytesPerCycle() float64 { return b.bytesPerCycle }
 
 // Transfer schedules an off-chip transfer of the given size requested at
 // cycle now, returning when the transfer completes. Blocking transfers (miss

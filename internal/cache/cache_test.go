@@ -385,45 +385,6 @@ func TestCountValidBySpace(t *testing.T) {
 	}
 }
 
-func TestWorkingSetProfiler(t *testing.T) {
-	ws := NewWorkingSet(64)
-	for i := 0; i < 100; i++ {
-		ws.Touch(mem.Addr(i * 64))
-	}
-	for i := 0; i < 100; i++ {
-		ws.Touch(mem.Addr(i * 64)) // repeats: no growth
-	}
-	if ws.DistinctLines() != 100 {
-		t.Fatalf("distinct lines = %d, want 100", ws.DistinctLines())
-	}
-	if ws.DistinctBytes() != 6400 {
-		t.Fatalf("distinct bytes = %d", ws.DistinctBytes())
-	}
-	if hw := ws.WindowHighWaterLines(); hw != 100 {
-		t.Fatalf("window high water = %d, want 100", hw)
-	}
-	// Same-line offsets must not count twice.
-	ws2 := NewWorkingSet(64)
-	ws2.Touch(0)
-	ws2.Touch(8)
-	ws2.Touch(63)
-	if ws2.DistinctLines() != 1 {
-		t.Fatalf("sub-line touches counted separately: %d", ws2.DistinctLines())
-	}
-}
-
-func TestWorkingSetWindowSlides(t *testing.T) {
-	ws := NewWorkingSet(64)
-	// Touch one line far more times than the window, then a second line.
-	for i := 0; i < DefaultWSWindow*2; i++ {
-		ws.Touch(0)
-	}
-	hw := ws.WindowHighWaterLines()
-	if hw != 1 {
-		t.Fatalf("single-line stream has window high water %d, want 1", hw)
-	}
-}
-
 func TestGeometryPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewSetAssoc("x", 1000, 4, 64, 0) },  // size not divisible

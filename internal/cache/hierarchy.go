@@ -69,7 +69,6 @@ type Hierarchy struct {
 	OffchipTransfers int64
 	OffchipBytes     int64
 
-	ws   *WorkingSet  // optional profiler, nil when disabled
 	attr *Attribution // optional traffic attribution, nil when disabled
 
 	// Run-ahead state (see RunAheadHit). logs[c] holds core c's uncommitted
@@ -143,13 +142,6 @@ func (h *Hierarchy) L2() *SetAssoc { return h.l2 }
 // Bus returns the off-chip bus.
 func (h *Hierarchy) Bus() *Bus { return h.bus }
 
-// EnableWorkingSet attaches a working-set profiler. It observes the global
-// order of accesses, so RunAheadHit refuses while it is attached.
-func (h *Hierarchy) EnableWorkingSet() *WorkingSet {
-	h.ws = NewWorkingSet(h.params.LineSize)
-	return h.ws
-}
-
 // Access simulates core performing a read or write of size bytes at addr,
 // issued at cycle now. It returns the cycle at which the access completes.
 // Accesses spanning multiple lines are split and serialized, as an in-order
@@ -201,11 +193,10 @@ func (h *Hierarchy) AccessLine(core int, tag uint64, write bool, now int64) int6
 // downgrades that same way — and those three touch sites roll it back (see
 // rollback). The hit is logged with ip, the caller's action index, which
 // TakeRewind hands back as the rewind point. It reports false and changes
-// nothing for any other access, when core's log is full, or while the
-// working-set profiler (which observes global access order) is attached.
+// nothing for any other access or when core's log is full.
 func (h *Hierarchy) RunAheadHit(core int, tag uint64, write bool, at int64, ip int) (int64, bool) {
 	lg := &h.logs[core]
-	if lg.n == logCap || h.ws != nil {
+	if lg.n == logCap {
 		return 0, false
 	}
 	// Only way-predicted hits run ahead: a miss then costs two compares
@@ -314,9 +305,6 @@ func (h *Hierarchy) rollback(c, way, core int, writesOnly bool) {
 // accessLine performs the coherent lookup/fill protocol for a single line,
 // identified by its tag (line address >> lineShift).
 func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int64 {
-	if h.ws != nil {
-		h.ws.Touch(mem.Addr(tag << h.lineShift))
-	}
 	l1 := h.l1[core]
 
 	// Way prediction, then the set scan. Both resolve to the same way when

@@ -145,13 +145,6 @@ func (e *Expr) AtConfig(i int) *Expr {
 	return &c
 }
 
-// AtWorkload returns a copy of e pinned to the workload axis point at i.
-func (e *Expr) AtWorkload(i int) *Expr {
-	c := *e
-	c.At.Workload = &i
-	return &c
-}
-
 // Ratio returns num/den (0 when den is 0).
 func Ratio(num, den *Expr) *Expr { return &Expr{Op: "ratio", Num: num, Den: den} }
 

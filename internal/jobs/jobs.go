@@ -365,9 +365,6 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-// Config returns the manager's effective (defaulted) configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // Submit parses, validates, and admits one grid definition, returning the
 // queued job or a *SubmitError. Validation is the CLI's own path —
 // grid.ParseDef (unknown fields rejected) then Def.Resolve with the

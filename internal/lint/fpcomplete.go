@@ -13,7 +13,7 @@ import (
 // identically, so the content-addressed store would serve one cell's metrics
 // for the other. The reflection tests (machine.TestFingerprintCoversEveryField,
 // workloads.TestSpecFingerprintCoversEveryField) catch this at test time by
-// perturbing each field; this analyzer catches it at vet time and names the
+// perturbing each field; this analyzer catches it at lint time and names the
 // missing field directly.
 //
 // A field that is deliberately excluded from the identity (none exist today)

@@ -1,5 +1,5 @@
 // Package lint is reprolint's analysis engine: four static analyzers that
-// enforce this repository's determinism and cache-key contract at vet time,
+// enforce this repository's determinism and cache-key contract at lint time,
 // before a golden file or a content-addressed cache entry can drift.
 //
 // Everything the reproduction promises — byte-identical sweeps at any
@@ -19,7 +19,7 @@
 //     table ordering.
 //   - fpcomplete: every Fingerprint method must reference every field of its
 //     receiver struct, turning the reflection tests' runtime guarantee into
-//     a vet-time diagnostic that names the missing field.
+//     a lint-time diagnostic that names the missing field.
 //   - tokenhold: flag blocking waits on the worker-budget path (and nested
 //     runner.Stream/Map re-entry or goroutine launches inside worker
 //     callbacks) that would park a budget token, the idle-core bug family
@@ -37,8 +37,8 @@
 // The framework deliberately mirrors golang.org/x/tools/go/analysis (an
 // Analyzer runs over one type-checked package via a Pass and reports
 // Diagnostics) but is self-contained on the standard library: the module has
-// zero dependencies and this keeps it that way, while cmd/reprolint still
-// speaks the `go vet -vettool` protocol (see unitchecker.go).
+// zero dependencies and this keeps it that way. cmd/reprolint is the one
+// driver; load.go is its package loader.
 package lint
 
 import (

@@ -16,13 +16,11 @@ import (
 	"strconv"
 )
 
-// This file is the standalone loader: it resolves package patterns with
+// This file is the loader: it resolves package patterns with
 // `go list -deps -export -json`, parses the matched packages from source,
 // and type-checks them against the compiler export data of their
-// dependencies — the same shape of modular type-checking `go vet` drives
-// through the unitchecker protocol (unitchecker.go), without requiring a
-// build system in front. It uses only the standard library and the go
-// toolchain already on PATH; the module stays dependency-free.
+// dependencies. It uses only the standard library and the go toolchain
+// already on PATH; the module stays dependency-free.
 
 // A Target is one source-loaded, type-checked package ready for analysis.
 type Target struct {

@@ -4,8 +4,8 @@ package lint_test
 // with the runtime reflection tests (machine.TestFingerprintCoversEveryField,
 // workloads.TestSpecFingerprintCoversEveryField) that today's Fingerprint
 // methods are complete, and the whole module must be clean under the full
-// suite with every //repro:allow consumed — the same gate CI's vettool run
-// enforces.
+// suite with every //repro:allow consumed — the same gate CI's
+// `reprolint -unused-allows ./...` step enforces.
 
 import (
 	"go/ast"

@@ -46,7 +46,6 @@ type Allocation struct {
 // restores that snapshot so a simulated run's mutations can be undone without
 // rebuilding anything.
 type Space struct {
-	id      SpaceID
 	next    Addr
 	allocs  []Allocation
 	regions []region
@@ -125,14 +124,11 @@ func (s *Space) TrackedBytes() uint64 {
 	return total
 }
 
-// NewSpace returns an empty address space with the given identity.
+// NewSpace returns an empty address space in the address range of id.
 func NewSpace(id SpaceID) *Space {
 	base := Addr(uint64(id) << spaceShift)
-	return &Space{id: id, next: base + 4096} // skip a null guard page
+	return &Space{next: base + 4096} // skip a null guard page
 }
-
-// ID returns the identity of the space.
-func (s *Space) ID() SpaceID { return s.id }
 
 // Alloc reserves size bytes aligned to align (which must be a power of two;
 // 0 means 64, a cache line) and returns the base address. Regions are padded

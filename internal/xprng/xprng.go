@@ -58,9 +58,6 @@ func (p *PRNG) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (p *PRNG) Uint32() uint32 { return uint32(p.Uint64() >> 32) }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (p *PRNG) Intn(n int) int {
 	if n <= 0 {
@@ -99,50 +96,10 @@ func (p *PRNG) Float64() float64 {
 	return float64(p.Uint64()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the polar (Marsaglia) method.
-func (p *PRNG) NormFloat64() float64 {
-	for {
-		u := 2*p.Float64() - 1
-		v := 2*p.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		// ln(s) via math.Log would pull in math; it is stdlib and fine.
-		return u * sqrt(-2*ln(s)/s)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (p *PRNG) Perm(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	p.ShuffleInts(out)
-	return out
-}
-
-// ShuffleInts permutes s uniformly at random (Fisher-Yates).
-func (p *PRNG) ShuffleInts(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := p.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // Shuffle permutes n elements using the provided swap function.
 func (p *PRNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := p.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Split returns a new PRNG whose stream is independent of p's future
-// output. It is used to give each workload component its own stream so that
-// changing one component's consumption does not perturb the others.
-func (p *PRNG) Split() *PRNG {
-	return New(p.Uint64() ^ 0xa5a5a5a55a5a5a5a)
 }

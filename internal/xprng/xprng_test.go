@@ -1,7 +1,6 @@
 package xprng
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -97,42 +96,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	p := New(11)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := p.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("mean %v too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("variance %v too far from 1", variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	p := New(3)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		perm := p.Perm(n)
-		if len(perm) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(perm))
-		}
-		seen := make([]bool, n)
-		for _, v := range perm {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, perm)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestShuffleProperty(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%32) + 1
@@ -141,7 +104,7 @@ func TestShuffleProperty(t *testing.T) {
 		for i := range s {
 			s[i] = i
 		}
-		p.ShuffleInts(s)
+		p.Shuffle(n, func(i, j int) { s[i], s[j] = s[j], s[i] })
 		seen := make([]bool, n)
 		for _, v := range s {
 			if v < 0 || v >= n || seen[v] {
@@ -152,21 +115,6 @@ func TestShuffleProperty(t *testing.T) {
 		return true
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	p := New(123)
-	child := p.Split()
-	// The child stream must not simply mirror the parent.
-	match := 0
-	for i := 0; i < 100; i++ {
-		if p.Uint64() == child.Uint64() {
-			match++
-		}
-	}
-	if match > 0 {
-		t.Fatalf("split stream mirrors parent on %d draws", match)
 	}
 }
 

@@ -30,6 +30,19 @@ func poll(a chan int) bool {
 	}
 }
 
+// A receive in the comm clause of a select with a default is a poll, not a
+// wait. Clean.
+func pollRecv(a chan int, b chan bool) (int, bool) {
+	select {
+	case v := <-a:
+		return v, true
+	case <-b:
+		return 0, true
+	default:
+		return 0, false
+	}
+}
+
 func wait(wg *sync.WaitGroup) {
 	wg.Wait() // want `sync wg\.Wait blocks on the worker-budget path`
 }

@@ -28,10 +28,11 @@ import (
 // sanctioned: Lend is the repository's lend-the-token protocol — it
 // releases the caller's budget token for the duration of the wait and
 // reacquires one after — so the parked goroutine provably holds no token.
-// The former debt sites (the singleflight waiter in rcache.Store.DoSpan and
-// the nested Stream caller draining in runner.streamWorkers) now route
-// through Lend; the remaining //repro:allow tokenhold annotations cover
-// only waits that are bounded and token-free by construction.
+// Both waits that need a token released route through Lend: the
+// singleflight waiter in rcache.Store.DoSpan, and a runner.Stream caller
+// waiting for its helpers' last jobs. The remaining //repro:allow tokenhold
+// annotations cover only waits that are bounded and token-free by
+// construction.
 var TokenholdAnalyzer = &Analyzer{
 	Name: "tokenhold",
 	Doc:  "flag blocking waits and nested fan-outs that idle worker-budget tokens",
@@ -60,9 +61,10 @@ func runTokenhold(pass *Pass) error {
 				return true
 			})
 		}
+		polled := map[ast.Expr]bool{} // comm-clause receives of selects with a default
 		ast.Inspect(f, func(n ast.Node) bool {
 			if inTokenPkg && !inLentSpan(lent, n) {
-				checkBlockingWait(pass, n)
+				checkBlockingWait(pass, n, polled)
 			}
 			if call, ok := n.(*ast.CallExpr); ok {
 				if name, ok := runnerFanout(pass, call.Fun); ok {
@@ -109,19 +111,28 @@ func isRunnerLend(pass *Pass, fun ast.Expr) bool {
 }
 
 // checkBlockingWait flags operations that park the current goroutine — and
-// any budget token it holds — until another goroutine acts.
-func checkBlockingWait(pass *Pass, n ast.Node) {
+// any budget token it holds — until another goroutine acts. A select with a
+// default never blocks: its comm-clause receives, which the walk visits
+// next, are recorded in polled and skipped.
+func checkBlockingWait(pass *Pass, n ast.Node, polled map[ast.Expr]bool) {
 	switch n := n.(type) {
 	case *ast.UnaryExpr:
-		if n.Op == token.ARROW {
+		if n.Op == token.ARROW && !polled[n] {
 			pass.Reportf(n.Pos(),
 				"blocking channel receive on the worker-budget path: a goroutine parked here idles any budget token it holds")
 		}
 	case *ast.SelectStmt:
+		hasDefault := false
 		for _, clause := range n.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-				return // has a default: non-blocking
+			hasDefault = hasDefault || clause.(*ast.CommClause).Comm == nil
+		}
+		if hasDefault {
+			for _, clause := range n.Body.List {
+				if recv := commRecv(clause.(*ast.CommClause).Comm); recv != nil {
+					polled[recv] = true
+				}
 			}
+			return
 		}
 		pass.Reportf(n.Pos(),
 			"select without default blocks on the worker-budget path: a goroutine parked here idles any budget token it holds")
@@ -135,6 +146,22 @@ func checkBlockingWait(pass *Pass, n ast.Node) {
 			}
 		}
 	}
+}
+
+// commRecv returns the receive of a select comm clause — `<-ch`,
+// `v := <-ch` or `v, ok = <-ch` — or nil for a send or a default.
+func commRecv(comm ast.Stmt) ast.Expr {
+	var e ast.Expr
+	switch s := comm.(type) {
+	case *ast.ExprStmt:
+		e = s.X
+	case *ast.AssignStmt:
+		e = s.Rhs[0]
+	}
+	if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+		return u
+	}
+	return nil
 }
 
 // runnerFanout reports whether fun denotes runner.Stream or runner.Map

@@ -5,28 +5,9 @@ import (
 	"time"
 )
 
-// TestLendFromUnregisteredGoroutineIsPlainCall: a goroutine that holds no
-// budget token (the test's own) must not release anything when it lends —
-// Lend degrades to calling wait directly.
-func TestLendFromUnregisteredGoroutineIsPlainCall(t *testing.T) {
-	before := Snapshot()
-	ran := false
-	Lend(func() { ran = true })
-	after := Snapshot()
-	if !ran {
-		t.Fatal("Lend did not run the wait function")
-	}
-	if after.Lends != before.Lends {
-		t.Fatalf("unregistered Lend counted as a lend: %d -> %d", before.Lends, after.Lends)
-	}
-	if after.TokensInUse != before.TokensInUse {
-		t.Fatalf("unregistered Lend changed tokens in use: %d -> %d", before.TokensInUse, after.TokensInUse)
-	}
-}
-
-// TestLendReleasesWorkerToken: a pool worker that lends around a blocking
-// wait must leave its token claimable by others for the duration, and hold
-// it again afterwards.
+// TestLendReleasesWorkerToken: a worker that lends around a blocking wait
+// must leave its token claimable by others for the duration, and hold it
+// again afterwards.
 func TestLendReleasesWorkerToken(t *testing.T) {
 	defer SetBudget(SetBudget(1))
 
@@ -49,8 +30,8 @@ func TestLendReleasesWorkerToken(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		// parallel=2 with a budget cap of 1: one real worker goroutine
-		// (the serial parallel==1 path would run inline, unregistered).
+		// Budget 1: this goroutine drives the stream alone, holding the
+		// budget's one slot, so the lend is the only way to free it.
 		_, err := Map(2, jobs)
 		done <- err
 	}()
@@ -60,7 +41,7 @@ func TestLendReleasesWorkerToken(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker never reached its lend")
 	}
-	// The worker is parked inside Lend. With a budget cap of 1, its token
+	// The driver is parked inside Lend. With a budget cap of 1, its slot
 	// was the only one; the lend must have freed it.
 	if !budget.tryAcquire() {
 		t.Fatal("token not released during Lend")
@@ -83,31 +64,28 @@ func TestLendReleasesWorkerToken(t *testing.T) {
 	}
 }
 
-// TestLendFundsNestedFanout: the drain of a nested Stream lends the parent
-// worker's token back to the pool while the inner jobs run. The first inner
-// job blocks until the lends counter ticks — which, within this test, only
-// the outer worker's drain can do (the top-level drain runs on the
-// unregistered test goroutine) — so the stream can only finish if the drain
-// really lent mid-flight. The two rendezvous jobs then confirm the pool
-// stays live and tops itself up after the lend.
+// TestLendFundsNestedFanout: a nested Stream's caller that has claimed
+// every job lends its token back to the pool while its helper finishes the
+// tail. The nested caller claims job 0 — it enlists its helper with a go
+// statement and claims at once, before the helper is scheduled — so the
+// helper runs job 1. Job 0 returns only once job 1 is running, leaving the
+// caller with nothing to claim, and job 1 blocks until the lends counter
+// ticks, so the stream can only finish if the caller's tail really lent.
 func TestLendFundsNestedFanout(t *testing.T) {
 	defer SetBudget(SetBudget(3))
 	lendsBefore := Snapshot().Lends
 
-	rendezvous := make(chan struct{})
-	meet := func() (int, error) {
+	tailRunning := make(chan struct{})
+	first := func() (int, error) {
 		select {
-		case rendezvous <- struct{}{}:
-		case <-rendezvous:
+		case <-tailRunning:
+			return 1, nil
 		case <-time.After(10 * time.Second):
 			return 0, nil
 		}
-		return 1, nil
 	}
-	// Runs first inside the nested pool, parking its worker until the outer
-	// worker's drain has lent (Lend counts the token out before running the
-	// wait, so the tick is visible while the drain is parked).
 	waitForLend := func() (int, error) {
+		close(tailRunning)
 		deadline := time.Now().Add(10 * time.Second)
 		for Snapshot().Lends == lendsBefore {
 			if time.Now().After(deadline) {
@@ -118,28 +96,27 @@ func TestLendFundsNestedFanout(t *testing.T) {
 		return 1, nil
 	}
 
+	// A single outer job runs on the outer caller, which has nothing else
+	// to wait for, so the nested caller's tail is the only lend here.
 	outer := []Job[int]{
 		func() (int, error) {
-			vals, err := Map(2, []Job[int]{waitForLend, meet, meet})
+			vals, err := Map(2, []Job[int]{first, waitForLend})
 			if err != nil {
 				return 0, err
 			}
-			return vals[0]*10 + vals[1] + vals[2], nil
+			return vals[0] + vals[1]*10, nil
 		},
-		// A second outer job so the nested one runs on a real (registered)
-		// worker goroutine rather than the serial inline path.
-		func() (int, error) { return 0, nil },
 	}
 
 	vals, err := Map(2, outer)
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
-	if vals[0]/10 != 1 {
-		t.Fatal("lends counter never ticked during the nested stream: the drain did not lend its token")
+	if vals[0]%10 != 1 {
+		t.Fatal("nested job 0 never saw job 1 running: the nested stream never enlisted a helper")
 	}
-	if vals[0]%10 != 2 {
-		t.Fatalf("inner jobs failed to rendezvous after the lend (got %d of 2)", vals[0]%10)
+	if vals[0]/10 != 1 {
+		t.Fatal("lends counter never ticked during the nested stream: the caller's tail did not lend its token")
 	}
 	if inuse := Snapshot().TokensInUse; inuse != 0 {
 		t.Fatalf("tokens leaked: %d still in use after all streams returned", inuse)

@@ -10,25 +10,27 @@
 // the sweepd job service via exp.RunGridStream, the exp tests, the
 // benchmark harness) emits byte-identical output at any parallelism level.
 //
-// # Worker budget
+// # Worker budget and help-first joining
 //
 // All Stream/Map calls in the process share one worker budget (default
-// GOMAXPROCS; cmd/sweep sets it to -parallel via SetBudget). Each call
-// claims workers from the budget non-blockingly: a call that finds the
-// budget exhausted — typically a per-experiment cell fan-out nested inside
-// cmd/sweep's experiment-level fan-out — degrades to serial execution on its
-// caller's goroutine instead of spawning more workers, re-polling the budget
-// between jobs so it promotes back to workers once siblings release tokens.
-// Nested fan-outs therefore compose without oversubscription (no N²
-// goroutines at -parallel N) and without deadlock: budget tokens are only
-// ever try-acquired, never waited on, and every Stream either holds at
-// least one worker or runs inline, so progress is always local.
+// GOMAXPROCS; cmd/sweep sets it to -parallel via SetBudget). The goroutine
+// that calls Stream is its worker zero: it runs jobs itself and enlists at
+// most parallel-1 helpers, each holding a try-acquired budget token. The
+// outermost Stream's driver holds the budget's one implicit slot, and a
+// nested Stream's caller is already counted (the driver, or a helper
+// running an outer job), so SetBudget(n) bounds the process at n
+// job-running goroutines, not ~n². Every worker re-polls the budget before
+// each claim, so a stream that started short-handed picks up helpers as
+// sibling fan-outs wind down. Tokens are never waited for, and a caller
+// waits only once every job is claimed, lending its token for that wait
+// (Lend) — so nested fan-outs cannot deadlock.
 package runner
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // A Job is one independent unit of work — in this repository, typically an
@@ -36,9 +38,10 @@ import (
 // cell.
 type Job[T any] func() (T, error)
 
-// budget is the process-wide cap on concurrently executing workers, shared
-// by every Stream/Map call. Tokens are try-acquired (never blocked on), so
-// nested fan-outs cannot deadlock; they serialize instead.
+// budget is the process-wide cap on goroutines running jobs, shared by
+// every Stream/Map call. The driver of the outermost Stream holds one slot
+// implicitly; helpers try-acquire the other cap-1 as tokens and never wait
+// for one, so a stream that finds none runs on its caller alone.
 var budget = func() *semaphore {
 	s := &semaphore{}
 	s.cap.Store(int64(runtime.GOMAXPROCS(0)))
@@ -53,7 +56,7 @@ type semaphore struct {
 func (s *semaphore) tryAcquire() bool {
 	for {
 		u := s.inuse.Load()
-		if u >= s.cap.Load() {
+		if u >= s.cap.Load()-1 {
 			return false
 		}
 		if s.inuse.CompareAndSwap(u, u+1) {
@@ -64,13 +67,46 @@ func (s *semaphore) tryAcquire() bool {
 
 func (s *semaphore) release() { s.inuse.Add(-1) }
 
-// SetBudget caps the process-wide number of concurrently executing workers
-// at n (floored at 1) and returns the previous cap, so callers can restore
-// it. cmd/sweep sets this to -parallel: the experiment-level fan-out and
-// every per-experiment cell fan-out then share the same N workers instead of
-// multiplying into ~N² goroutines. A Stream that finds the budget exhausted
-// runs its jobs serially on the calling goroutine, so shrinking the budget
-// never strands work.
+// acquire blocks until a token is free. Only Lend's reacquisition uses
+// this, so the spin is rare and short-lived: a failed poll means some
+// worker holds the token and is making progress on a job.
+func (s *semaphore) acquire() {
+	for i := 0; !s.tryAcquire(); i++ {
+		if i < 64 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// Lend releases the calling goroutine's budget token for the duration of
+// wait, then reacquires one, so the core the caller was entitled to runs
+// someone else's job instead of idling. Two waits need it: a Stream
+// caller's wait for its helpers' last jobs, and an rcache singleflight
+// waiter parked on the winning flight.
+//
+// Every goroutine that can reach Lend holds a token: a helper the one it
+// acquired, the outermost driver its implicit slot. (Release and reacquire
+// balance, so a goroutine outside every Stream may lend too; the budget
+// runs one over for the wait.) wait must not itself call Lend, or the one
+// token is released twice. Reacquisition cannot deadlock: every held token
+// belongs to a goroutine running a job to completion, or parked in Lend
+// having already released.
+func Lend(wait func()) {
+	budget.release()
+	lends.Add(1)
+	wait()
+	budget.acquire()
+}
+
+// SetBudget caps the process-wide number of goroutines running jobs at n
+// (floored at 1) and returns the previous cap, so callers can restore it.
+// The goroutine driving the outermost Stream is one of the n, so n-1 tokens
+// remain for helpers; at n == 1 every Stream runs inline on its caller.
+// cmd/sweep sets this to -parallel: the experiment-level fan-out and every
+// per-experiment cell fan-out then share the same N workers instead of
+// multiplying into ~N² goroutines.
 func SetBudget(n int) int {
 	if n < 1 {
 		n = 1
@@ -78,18 +114,19 @@ func SetBudget(n int) int {
 	return int(budget.cap.Swap(int64(n)))
 }
 
-// Stream executes jobs on workers drawn from the shared budget (at most
-// parallel of them) and calls yield exactly once per job, in submit order,
-// as soon as the job and all of its predecessors have completed.
-// parallel <= 0 means GOMAXPROCS; parallel == 1 runs every job inline on
-// the caller's goroutine (the serial path: no goroutines, no channels). A
-// fully claimed budget also starts inline, but re-polls between jobs and
-// promotes the remainder to workers as tokens free up.
+// Stream executes jobs and calls yield exactly once per job, in submit
+// order, as soon as the job and all of its predecessors have completed.
+// The calling goroutine runs jobs itself, alongside at most parallel-1
+// helpers drawn from the shared budget (parallel <= 0 means GOMAXPROCS);
+// with parallel == 1 or no token free, no goroutine is started.
 //
-// yield receives the job's index, value, and error. If yield returns a
-// non-nil error, no further jobs are started and no further yields happen;
-// Stream drains in-flight work and returns that error. Job errors are not
-// fatal to the pool — they are handed to yield, which decides.
+// yield runs only on the calling goroutine — between its own jobs, and
+// while it waits for the last helpers — so a job must never wait for a
+// yield. yield receives the job's index, value, and error. If yield
+// returns a non-nil error, no further jobs are started and no further
+// yields happen; Stream drains in-flight work and returns that error. Job
+// errors are not fatal to the pool — they are handed to yield, which
+// decides.
 func Stream[T any](parallel int, jobs []Job[T], yield func(i int, v T, err error) error) error {
 	n := len(jobs)
 	if n == 0 {
@@ -98,82 +135,14 @@ func Stream[T any](parallel int, jobs []Job[T], yield func(i int, v T, err error
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	if parallel > n {
-		parallel = n
-	}
-	// Every job is queued up front; each execution path below drains the
-	// gauge exactly once per index — claimed and run, claimed and
-	// cancel-filled, or abandoned after a yield error.
-	queued.Add(int64(n))
-	if parallel == 1 {
-		// Explicitly serial: no goroutines, no channels, no budget polls.
-		for i, job := range jobs {
-			claimJob()
-			v, err := job()
-			finishJob()
-			if yerr := yield(i, v, err); yerr != nil {
-				abandonJobs(n - i - 1)
-				return yerr
-			}
-		}
-		return nil
-	}
-	workers := 0
-	for w := 0; w < parallel && budget.tryAcquire(); w++ {
-		workers++
-	}
-	if workers > 0 {
-		return streamWorkers(workers, parallel, jobs, yield)
-	}
-	// Every budget token is held elsewhere (we are nested inside another
-	// fan-out that claimed them). Run inline, but re-poll the budget before
-	// each job: when sibling fan-outs wind down and release tokens, the
-	// remainder of this stream promotes to real workers instead of
-	// finishing serially on idle hardware. The freshly acquired token is
-	// kept and handed to the worker pool, so the promotion cannot be lost
-	// to another stream in between.
-	for i := 0; i < n; i++ {
-		if budget.tryAcquire() {
-			rest, base := jobs[i:], i
-			w, limit := 1, parallel
-			if limit > len(rest) {
-				limit = len(rest)
-			}
-			for w < limit && budget.tryAcquire() {
-				w++
-			}
-			return streamWorkers(w, limit, rest, func(j int, v T, err error) error {
-				return yield(base+j, v, err)
-			})
-		}
-		claimJob()
-		v, err := jobs[i]()
-		finishJob()
-		if yerr := yield(i, v, err); yerr != nil {
-			abandonJobs(n - i - 1)
-			return yerr
-		}
-	}
-	return nil
-}
-
-// streamWorkers is Stream's fan-out engine: it runs jobs on worker
-// goroutines — the caller must already hold `workers` budget tokens, which
-// the workers release as they exit — and yields results in submit order.
-// A stream that started with fewer than limit workers tops itself up:
-// before each job claim a worker re-polls the budget and spawns a
-// reinforcement when a token has freed (a sibling fan-out winding down), so
-// a long cell grid that began on a starved budget does not stay starved
-// after the rest of the sweep finishes.
-func streamWorkers[T any](workers, limit int, jobs []Job[T], yield func(i int, v T, err error) error) error {
-	n := len(jobs)
+	queued.Add(int64(n)) // run drains it once per index: claimed, run or skipped
 
 	type result struct {
 		v   T
 		err error
 	}
 	// One buffered slot per job: workers never block on delivery, and the
-	// consumer below reorders simply by reading slots 0..n-1 in sequence.
+	// caller reorders simply by reading slots 0..n-1 in sequence.
 	slots := make([]chan result, n)
 	for i := range slots {
 		slots[i] = make(chan result, 1)
@@ -182,84 +151,91 @@ func streamWorkers[T any](workers, limit int, jobs []Job[T], yield func(i int, v
 	var (
 		next      atomic.Int64 // next job index to claim
 		cancelled atomic.Bool  // set once yield fails; stops new work
-		active    atomic.Int64 // live workers, capped at limit
+		active    atomic.Int64 // goroutines running jobs, capped at parallel
 		wg        sync.WaitGroup
 	)
-	active.Store(int64(workers))
-	var worker func()
-	worker = func() {
-		// Register as a token holder for the lend protocol (lend.go): a job
-		// that parks on a singleflight or a nested drain may give this
-		// worker's token back to the pool for the wait. Deregistration runs
-		// before the deferred release, so the goroutine is never registered
-		// without a token.
-		id := goid()
-		registerHolder(id)
+	active.Store(1) // the caller
+	var helper func()
+	// run is one worker step, for the caller and helpers alike: top up,
+	// then claim and run one job. It reports false once all are claimed.
+	run := func() bool {
+		// Top up: if under the cap with jobs still unclaimed and a budget
+		// token free, enlist a helper. The count is reserved before the
+		// token so two racers cannot both pass the cap; either reservation
+		// that fails is rolled back.
+		if !cancelled.Load() && int(next.Load()) < n-1 {
+			if a := active.Add(1); int(a) <= parallel && budget.tryAcquire() {
+				wg.Add(1)
+				go helper()
+			} else {
+				active.Add(-1)
+			}
+		}
+		i := int(next.Add(1)) - 1
+		if i >= n {
+			return false
+		}
+		if cancelled.Load() {
+			skipJob()
+			slots[i] <- result{} // still fill the slot so the drain never blocks
+			return true
+		}
+		claimJob()
+		v, err := jobs[i]()
+		finishJob()
+		slots[i] <- result{v, err}
+		return true
+	}
+	helper = func() {
 		defer wg.Done()
 		defer budget.release()
-		defer unregisterHolder(id)
 		defer active.Add(-1)
-		for {
-			// Top up: if under the cap with jobs still unclaimed and a
-			// budget token free, enlist another worker. The count is
-			// reserved before the token so two racers cannot both pass the
-			// cap; either reservation that fails is rolled back.
-			if !cancelled.Load() && int(next.Load()) < n-1 {
-				if a := active.Add(1); int(a) <= limit && budget.tryAcquire() {
-					wg.Add(1)
-					go worker()
-				} else {
-					active.Add(-1)
-				}
-			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if cancelled.Load() {
-				skipJob()
-				// Still fill the slot so the drain below never blocks.
-				slots[i] <- result{}
-				continue
-			}
-			claimJob()
-			v, err := jobs[i]()
-			finishJob()
-			slots[i] <- result{v, err}
+		for run() {
 		}
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go worker()
-	}
 
-	// A nested Stream's caller reaches this drain while holding the token
-	// its parent fan-out gave it; Lend returns that token to the pool for
-	// the duration (the pool's own top-up logic can then claim it for a
-	// reinforcement worker), and reacquires it before the stream returns.
-	// For a top-level caller with no token, Lend is a plain call.
+	y := 0 // next index to yield
 	var yerr error
-	Lend(func() {
-		for i := 0; i < n; i++ {
-			r := <-slots[i]
-			if yerr != nil {
-				continue // draining only
-			}
-			if yerr = yield(i, r.v, r.err); yerr != nil {
+	deliver := func(r result) {
+		if yerr == nil {
+			if yerr = yield(y, r.v, r.err); yerr != nil {
 				cancelled.Store(true)
 			}
 		}
-	})
+		y++
+	}
+	for run() {
+		// Yield the ready in-order prefix without waiting: the caller never
+		// waits for a helper's result while it could run a job.
+	ready:
+		for y < n {
+			select {
+			case r := <-slots[y]:
+				deliver(r)
+			default:
+				break ready
+			}
+		}
+	}
+	if y < n {
+		// Every job is claimed and helpers still run some: nothing is left
+		// for the caller to run, so it lends its token while it waits.
+		Lend(func() {
+			for y < n {
+				deliver(<-slots[y])
+			}
+		})
+	}
 	//repro:allow tokenhold bounded drain: every slot has been received, so all workers are past their last job and exiting; the wait is O(defer) and releases the tokens
 	wg.Wait()
 	return yerr
 }
 
-// Map executes jobs on up to parallel budget workers and returns their
-// results in submit order. The first job error (by submit order, which is
-// deterministic regardless of completion order) aborts the pool: unstarted
-// jobs are skipped, in-flight jobs drain, and Map returns that error with a
-// nil slice.
+// Map executes jobs on the caller and up to parallel-1 budget helpers and
+// returns their results in submit order. The first job error (by submit
+// order, which is deterministic regardless of completion order) aborts the
+// pool: unstarted jobs are skipped, in-flight jobs drain, and Map returns
+// that error with a nil slice.
 func Map[T any](parallel int, jobs []Job[T]) ([]T, error) {
 	out := make([]T, len(jobs))
 	err := Stream(parallel, jobs, func(i int, v T, err error) error {

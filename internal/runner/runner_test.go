@@ -147,21 +147,20 @@ func TestStreamStopsAfterYieldError(t *testing.T) {
 	var yields atomic.Int64
 	var started atomic.Int64
 	n := 64
-	// Jobs past the first two worker rounds block until yield cancels the
-	// stream, so most of the job list is still unclaimed when cancellation
-	// lands. Stream sets its cancelled flag just *after* yield returns, so
-	// released jobs also sleep a few ms: for the assertion below to fail,
-	// the consumer goroutine would have to stay off-CPU for the tens of
-	// milliseconds it takes the workers to chew through ~50 sleeping jobs.
-	release := make(chan struct{})
+	// Jobs past the first eight sleep, so most of the job list is still
+	// unclaimed when cancellation lands. They must not wait for the yield
+	// itself: yield runs on the calling goroutine, which also runs jobs, so
+	// a job gated on a yield could be the one the caller is running. The
+	// first eight jobs return at once, so the caller yields index 5 within a
+	// job or two; for the assertion below to fail, the caller would have to
+	// stay off-CPU for the tens of milliseconds it takes the helpers to chew
+	// through ~50 sleeping jobs.
 	jobs := make([]Job[int], n)
 	for i := range jobs {
-		i := i
 		jobs[i] = func() (int, error) {
 			started.Add(1)
 			if i > 7 {
-				<-release
-				time.Sleep(2 * time.Millisecond)
+				time.Sleep(5 * time.Millisecond)
 			}
 			return i, nil
 		}
@@ -169,7 +168,6 @@ func TestStreamStopsAfterYieldError(t *testing.T) {
 	err := Stream(4, jobs, func(i int, v int, err error) error {
 		yields.Add(1)
 		if i == 5 {
-			close(release)
 			return stop
 		}
 		return nil
@@ -209,8 +207,8 @@ func trackConcurrency[T any](jobs []Job[T]) ([]Job[T], func() int64) {
 // TestBudgetBoundsNestedFanout is the oversubscription regression test:
 // an experiment-level fan-out whose jobs each fan out again must execute at
 // most SetBudget(n) leaf jobs concurrently — not outer×inner — and must
-// complete (nested fan-outs degrade to serial instead of deadlocking when
-// the outer level holds every token).
+// complete (nested fan-outs run on their callers alone instead of
+// deadlocking when the outer level holds every token).
 func TestBudgetBoundsNestedFanout(t *testing.T) {
 	const cap = 3
 	defer SetBudget(SetBudget(cap))
@@ -270,38 +268,39 @@ func TestBudgetBoundsNestedFanout(t *testing.T) {
 }
 
 // TestBudgetPromotionAfterRelease: a stream that started on an exhausted
-// budget must pick up workers once the holders release their tokens — the
+// budget must pick up helpers once the holders release their tokens — the
 // sweep-tail case where one long experiment should not stay serial while
-// freed cores idle.
+// freed cores idle. The pickup is the ordinary top-up every worker runs
+// before each claim, the caller included.
 func TestBudgetPromotionAfterRelease(t *testing.T) {
 	defer SetBudget(SetBudget(2))
 
 	holderDone := make(chan struct{})
 	release := make(chan struct{})
+	started := make(chan struct{}, 2)
 	go func() {
 		defer close(holderDone)
-		// Claims both tokens and holds them until released.
+		// Two jobs on the holder's caller and its one helper: the helper
+		// claims the budget's only token and holds it until released.
 		_, err := Map(2, []Job[int]{
-			func() (int, error) { <-release; return 0, nil },
-			func() (int, error) { <-release; return 0, nil },
+			func() (int, error) { started <- struct{}{}; <-release; return 0, nil },
+			func() (int, error) { started <- struct{}{}; <-release; return 0, nil },
 		})
 		if err != nil {
 			t.Error(err)
 		}
 	}()
-	// Wait until the holder owns the whole budget, so the stream under test
-	// deterministically starts on the inline path.
-	for budget.inuse.Load() != 2 {
-		runtime.Gosched()
-	}
+	// Wait until both holder jobs run, so the helper owns the token and the
+	// stream under test deterministically starts on its caller alone.
+	<-started
+	<-started
 
 	jobs := make([]Job[int], 10)
 	for i := range jobs {
 		jobs[i] = func() (int, error) {
 			if i == 0 {
 				// First job frees the budget and waits for the holder to
-				// hand its tokens back, so the remaining nine jobs see an
-				// open budget on the next poll.
+				// hand its token back, so the caller's next top-up finds it.
 				close(release)
 				<-holderDone
 			}
@@ -320,7 +319,7 @@ func TestBudgetPromotionAfterRelease(t *testing.T) {
 		}
 	}
 	if p := peak(); p < 2 {
-		t.Fatalf("stream never promoted to workers after tokens freed (peak concurrency %d)", p)
+		t.Fatalf("stream never enlisted a helper after tokens freed (peak concurrency %d)", p)
 	}
 	if p := peak(); p > 2 {
 		t.Fatalf("promotion exceeded the budget (peak concurrency %d)", p)
@@ -332,7 +331,7 @@ func TestBudgetPromotionAfterRelease(t *testing.T) {
 // tokens free up, instead of running its whole job list understaffed.
 func TestWorkerTopUpAfterRelease(t *testing.T) {
 	defer SetBudget(SetBudget(2))
-	if !budget.tryAcquire() { // hold 1 of the 2 tokens
+	if !budget.tryAcquire() { // hold the one helper token of budget 2
 		t.Fatal("could not take the setup token")
 	}
 	released := false
@@ -341,7 +340,7 @@ func TestWorkerTopUpAfterRelease(t *testing.T) {
 		jobs[i] = func() (int, error) {
 			if i == 0 {
 				// First job hands the held token back: from here on the
-				// stream should grow from one worker to two.
+				// stream should grow from its caller alone to two workers.
 				released = true
 				budget.release()
 			}
@@ -371,7 +370,7 @@ func TestWorkerTopUpAfterRelease(t *testing.T) {
 }
 
 // TestBudgetExhaustedRunsSerial: with a budget of 1, a nested Map finds no
-// tokens and must fall back to in-line execution, preserving order.
+// tokens and runs on its caller alone, preserving order.
 func TestBudgetExhaustedRunsSerial(t *testing.T) {
 	defer SetBudget(SetBudget(1))
 	out, err := Map(4, []Job[[]int]{
@@ -383,6 +382,26 @@ func TestBudgetExhaustedRunsSerial(t *testing.T) {
 	for i, v := range out[0] {
 		if v != i {
 			t.Fatalf("nested serial fallback broke ordering: %v", out[0])
+		}
+	}
+}
+
+// TestSerialBudgetStartsNoGoroutine: at budget 1 the caller is the only
+// worker, so a Map runs every job inline without starting a goroutine.
+func TestSerialBudgetStartsNoGoroutine(t *testing.T) {
+	defer SetBudget(SetBudget(1))
+	before := runtime.NumGoroutine()
+	jobs := make([]Job[int], 8)
+	for i := range jobs {
+		jobs[i] = func() (int, error) { return runtime.NumGoroutine(), nil }
+	}
+	out, err := Map(8, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range out {
+		if g != before {
+			t.Fatalf("job %d saw %d goroutines, %d before the call: budget 1 started a goroutine", i, g, before)
 		}
 	}
 }

@@ -7,14 +7,14 @@ import (
 )
 
 // Process-wide execution telemetry, shared by every Stream/Map call exactly
-// as the worker budget is. The counters are maintained inline in the
-// execution paths (serial, inline-fallback, and worker) at a cost of a few
-// uncontended atomic adds per job — noise against cells that run for
-// milliseconds to seconds — and exposed through RegisterMetrics as the
-// runner_* family of the unified registry (`sweep -stats`, /metrics).
+// as the worker budget is. The counters are maintained inline in Stream's
+// one execution path at a cost of a few uncontended atomic adds per job —
+// noise against cells that run for milliseconds to seconds — and exposed
+// through RegisterMetrics as the runner_* family of the unified registry
+// (`sweep -stats`, /metrics).
 var (
 	// queued is the number of jobs accepted by Stream/Map but not yet
-	// claimed for execution (or abandonment, after a yield error).
+	// claimed (to run, or to skip after a yield error).
 	queued atomic.Int64
 	// inflight is the number of jobs executing right now — the "cells in
 	// flight" gauge.
@@ -22,7 +22,7 @@ var (
 	// jobsDone counts jobs executed to completion since process start.
 	jobsDone atomic.Int64
 	// lends counts budget tokens returned to the pool across a blocking
-	// wait via Lend (lend.go) — each is a core-idle span converted into
+	// wait via Lend — each is a core-idle span converted into
 	// schedulable capacity.
 	lends atomic.Int64
 )
@@ -30,7 +30,7 @@ var (
 // Telemetry is a snapshot of the runner's execution state.
 type Telemetry struct {
 	BudgetCap   int64 // SetBudget's cap (-parallel)
-	TokensInUse int64 // budget tokens currently held by workers
+	TokensInUse int64 // helper tokens currently held (the driver's slot is not a token)
 	QueueDepth  int64 // jobs submitted but not yet claimed
 	InFlight    int64 // jobs executing right now
 	JobsDone    int64 // jobs completed since process start
@@ -79,14 +79,8 @@ func finishJob() {
 	jobsDone.Add(1)
 }
 
-// abandonJobs drains n never-started jobs from the queue gauge (a yield
-// error stopped the stream before they were claimed).
-func abandonJobs(n int) {
-	queued.Add(int64(-n))
-}
-
-// skipJob drains one claimed-but-cancelled job (a worker filling slots
-// after cancellation).
+// skipJob drains one claimed-but-cancelled job (a worker filling its slot
+// after a yield error).
 func skipJob() {
 	queued.Add(-1)
 }

@@ -31,8 +31,8 @@ import (
 // Both waits that need a token released route through Lend: the
 // singleflight waiter in rcache.Store.DoSpan, and a runner.Stream caller
 // waiting for its helpers' last jobs. The remaining //repro:allow tokenhold
-// annotations cover only waits that are bounded and token-free by
-// construction.
+// annotations cover only waits that hold no token by construction: two
+// bounded shutdown drains, and Lend's own reacquire wait.
 var TokenholdAnalyzer = &Analyzer{
 	Name: "tokenhold",
 	Doc:  "flag blocking waits and nested fan-outs that idle worker-budget tokens",

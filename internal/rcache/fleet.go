@@ -92,12 +92,11 @@ func buildRing(urls []string) *ring {
 	return r
 }
 
-// pick returns the server index owning key: the server of the first ring
-// point at or clockwise after the key's position. Allocation-free.
-func (r *ring) pick(key Key) int {
+// first returns the index of the ring point owning key: the first point at
+// or clockwise after the key's position, wrapping to 0.
+func (r *ring) first(key Key) int {
 	h := binary.BigEndian.Uint64(key[:8])
 	pts := r.points
-	// Binary search for the first point with hash >= h, wrapping to 0.
 	lo, hi := 0, len(pts)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -110,8 +109,11 @@ func (r *ring) pick(key Key) int {
 	if lo == len(pts) {
 		lo = 0
 	}
-	return int(pts[lo].srv)
+	return lo
 }
+
+// pick returns the server index owning key. Allocation-free.
+func (r *ring) pick(key Key) int { return int(r.points[r.first(key)].srv) }
 
 // successors fills buf with up to len(buf) distinct server indices in ring
 // order starting at key's owner, and returns the filled prefix. buf sized
@@ -122,20 +124,11 @@ func (r *ring) successors(key Key, buf []int) []int {
 	if want > r.nsrv {
 		want = r.nsrv
 	}
-	h := binary.BigEndian.Uint64(key[:8])
 	pts := r.points
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].hash < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
+	start := r.first(key)
 	n := 0
 	for i := 0; i < len(pts) && n < want; i++ {
-		srv := int(pts[(lo+i)%len(pts)].srv)
+		srv := int(pts[(start+i)%len(pts)].srv)
 		seen := false
 		for _, s := range buf[:n] {
 			if s == srv {
@@ -241,16 +234,13 @@ func newRemote(urls string, replicas int) (*remote, error) {
 	return r, nil
 }
 
-// get resolves key against its home set: the owning shard first, then — with
-// replication on — its ring successors, in ring order. Any per-shard anomaly
-// degrades to trying the next copy; only when every copy misses does the
-// tier report a miss. decodeRecord inside transport.get guarantees a
-// fall-through can never serve a wrong-key record — a replica is only
-// trusted for the bytes its key names.
+// get resolves key against its home set in ring order: the owning shard,
+// then its replication successors (none with replication off). Any
+// per-shard anomaly degrades to trying the next copy; only when every copy
+// misses does the tier report a miss. decodeRecord inside transport.get
+// guarantees a fall-through can never serve a wrong-key record — a replica
+// is only trusted for the bytes its key names.
 func (r *remote) get(key Key) (metrics.Run, bool) {
-	if r.replicas == 0 {
-		return r.servers[r.ring.pick(key)].get(key)
-	}
 	var buf [maxReplicas + 1]int
 	for _, srv := range r.ring.successors(key, buf[:r.replicas+1]) {
 		if run, ok := r.servers[srv].get(key); ok {

@@ -122,3 +122,32 @@ func TestLendFundsNestedFanout(t *testing.T) {
 		t.Fatalf("tokens leaked: %d still in use after all streams returned", inuse)
 	}
 }
+
+// TestLendReacquireWakesOnBudgetRaise: a Lend whose token is taken during
+// its wait parks in the reacquire, and raising the cap with SetBudget must
+// wake it — no release ever comes.
+func TestLendReacquireWakesOnBudgetRaise(t *testing.T) {
+	defer SetBudget(SetBudget(1))
+
+	taken := make(chan bool, 1)
+	returned := make(chan struct{})
+	go func() {
+		Lend(func() { taken <- budget.tryAcquire() })
+		close(returned)
+	}()
+	if !<-taken {
+		t.Fatal("the lent token could not be taken")
+	}
+	defer budget.release()
+	select {
+	case <-returned:
+		t.Fatal("Lend reacquired with every token held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	SetBudget(2)
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked reacquire not woken by SetBudget raising the cap")
+	}
+}

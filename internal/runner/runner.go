@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // A Job is one independent unit of work — in this repository, typically an
@@ -44,6 +43,7 @@ type Job[T any] func() (T, error)
 // for one, so a stream that finds none runs on its caller alone.
 var budget = func() *semaphore {
 	s := &semaphore{}
+	s.freed.L = &s.mu
 	s.cap.Store(int64(runtime.GOMAXPROCS(0)))
 	return s
 }()
@@ -51,6 +51,8 @@ var budget = func() *semaphore {
 type semaphore struct {
 	cap   atomic.Int64
 	inuse atomic.Int64
+	mu    sync.Mutex
+	freed sync.Cond // broadcast when a token is released or the cap changes
 }
 
 func (s *semaphore) tryAcquire() bool {
@@ -65,19 +67,28 @@ func (s *semaphore) tryAcquire() bool {
 	}
 }
 
-func (s *semaphore) release() { s.inuse.Add(-1) }
+func (s *semaphore) release() {
+	s.inuse.Add(-1)
+	s.wake()
+}
+
+// wake rouses every goroutine parked in acquire to retry. It takes the lock
+// so a waiter between its failed poll and its Wait cannot miss the signal.
+func (s *semaphore) wake() {
+	s.mu.Lock()
+	s.freed.Broadcast()
+	s.mu.Unlock()
+}
 
 // acquire blocks until a token is free. Only Lend's reacquisition uses
-// this, so the spin is rare and short-lived: a failed poll means some
-// worker holds the token and is making progress on a job.
+// this; it wakes on every release and cap change.
 func (s *semaphore) acquire() {
-	for i := 0; !s.tryAcquire(); i++ {
-		if i < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(time.Millisecond)
-		}
+	s.mu.Lock()
+	for !s.tryAcquire() {
+		//repro:allow tokenhold Lend's reacquire: the caller released its token before its wait, so the parked goroutine holds none
+		s.freed.Wait()
 	}
+	s.mu.Unlock()
 }
 
 // Lend releases the calling goroutine's budget token for the duration of
@@ -111,7 +122,9 @@ func SetBudget(n int) int {
 	if n < 1 {
 		n = 1
 	}
-	return int(budget.cap.Swap(int64(n)))
+	old := budget.cap.Swap(int64(n))
+	budget.wake()
+	return int(old)
 }
 
 // Stream executes jobs and calls yield exactly once per job, in submit

@@ -58,18 +58,10 @@ type Engine struct {
 	hier  *cache.Hierarchy
 
 	cores   []coreState
-	nextAt  []int64 // per-core next event time, dense for the refill scan
+	nextAt  []int64 // per-core next event time, dense for the selection scan
 	pending []int32
 	done    int
 	now     int64
-
-	// Calendar wheel for event selection (see RunUntil). wheel[s] is the
-	// bitmask of cores whose next event is at cycle wheelBase+s; wheelOcc
-	// marks non-empty slots. Persistent across RunUntil calls so RunFor
-	// quanta resume mid-window.
-	wheel     [wheelSlots]uint64
-	wheelOcc  uint64
-	wheelBase int64
 
 	// Premature-node tracking (depth-first fidelity).
 	doneByDF     []bool
@@ -82,7 +74,7 @@ type Engine struct {
 	idleCycles   int64
 	dispatchCyc  int64
 
-	// Engine telemetry, flushed to the sim_* totals once per Run: wheel
+	// Engine telemetry, flushed to the sim_* totals once per Run: event
 	// pops, private L1 hits replayed ahead of global order, rollbacks (one
 	// per core rewound by an access) and the hits those undid.
 	events         int64
@@ -186,81 +178,41 @@ func (e *Engine) Run() metrics.Run {
 	return r
 }
 
-// wheelSlots is the calendar wheel's window width in cycles. 64 lets the
-// slot occupancy live in one machine word, and covers the common event
-// horizon: L1 hits (+1), L2 trips (+15), idle re-polls (+50) all land back
-// inside the window, so only DRAM fills and long compute runs take the
-// slow (refill) path.
-const wheelSlots = 64
-
 // noBound stands for "no other core": far beyond any limit, with headroom
 // for the run-ahead window added to it.
 const noBound = math.MaxInt64 / 2
 
+// runAheadWindow is how many cycles past bound a core may replay private L1
+// hits ahead of global order (see replay). 64 one-cycle hits also fill the
+// hierarchy's per-core undo log.
+const runAheadWindow = 64
+
 // RunUntil advances the simulation until every node is done or the clock
 // reaches limit, whichever is first.
 //
-// Event selection is a calendar wheel rather than a per-event scan over
-// cores: slot s of the wheel holds a bitmask of the cores whose next event
-// falls at cycle wheelBase+s, and a one-word occupancy mask (wheelOcc) marks
-// the non-empty slots. The next event is then two TrailingZeros64 — lowest
-// occupied slot, lowest core id in it — which reproduces the stepwise
-// semantics exactly: the popped event is the global (time, core-id)
-// lexicographic minimum, because every core beyond the window is at least
-// wheelSlots cycles away (established at refill, and event times only
-// decrease through a rollback, which never moves one below the event being
-// processed), and bit order within a slot IS ascending core id, the
-// tie-break the engine has always used. When the window drains, one
-// O(cores) scan of the dense nextAt array re-bases the wheel at the new
-// minimum. The upshot: the old O(cores) selection scan — the hottest lines
-// in cold-sweep profiles — runs once per drained window instead of once per
-// event, and a core streaming consecutive actions (nextAt stepping +1) pops
-// itself back-to-back with O(1) work, subsuming the batch-advance special
-// case.
-//
-// A popped core then fuses further actions into the pop, first in exact
-// order and then ahead of it (private-hit run-ahead, see replay).
+// Each pop is one pass over the dense nextAt array. The pass selects the
+// core with the earliest next event, ties going to the lowest core id —
+// exactly the stepwise (time, core-id) order — and, as its second minimum,
+// bound: the earliest next event of every other core. The popped core then
+// fuses further actions into the pop, first in exact order up to bound and
+// then ahead of it (private-hit run-ahead, see replay).
 func (e *Engine) RunUntil(limit int64) {
 	nextAt := e.nextAt
 	for !e.Done() {
-		if e.wheelOcc == 0 {
-			// Refill: re-base the window at the earliest pending event and
-			// enqueue every core within it. Cores beyond the window stay
-			// out; they are reconsidered at the next refill, and cannot be
-			// due before anything enqueued here.
-			min := nextAt[0]
-			for i := 1; i < len(nextAt); i++ {
-				if nextAt[i] < min {
-					min = nextAt[i]
-				}
-			}
-			if min >= limit {
-				e.stop(limit)
-				return
-			}
-			e.wheelBase = min
-			for i, at := range nextAt {
-				if d := uint64(at - min); d < wheelSlots {
-					e.wheel[d] |= 1 << uint(i)
-					e.wheelOcc |= 1 << d
-				}
+		c, t, bound := 0, nextAt[0], int64(noBound)
+		for i := 1; i < len(nextAt); i++ {
+			if at := nextAt[i]; at < t {
+				c, t, bound = i, at, t
+			} else if at < bound {
+				bound = at
 			}
 		}
-		slot := bits.TrailingZeros64(e.wheelOcc)
-		t := e.wheelBase + int64(slot)
-		// The popped slot is the global minimum event time, so only it can
-		// end the run at limit. Check before popping: the event stays
-		// queued for a later RunUntil with a higher limit.
+		// Only the earliest event can end the run at limit. Check before
+		// popping: the event stays pending for a later RunUntil with a
+		// higher limit.
 		if t >= limit {
 			e.stop(limit)
 			return
-		}
-		coreMask := e.wheel[slot]
-		c := bits.TrailingZeros64(coreMask)
-		coreMask &= coreMask - 1 // pop lowest core id
-		e.wheel[slot] = coreMask
-		if coreMask == 0 {
-			e.wheelOcc &^= 1 << uint(slot)
 		}
 		e.events++
 
@@ -269,26 +221,16 @@ func (e *Engine) RunUntil(limit int64) {
 		// run-ahead hits in stepwise order is still to come.
 		e.hier.Commit(c)
 		cs := &e.cores[c]
-		completed := false
 		if cs.task == nil {
 			e.dispatch(c)
 		} else if cs.ip < len(cs.actions) {
-			e.replay(c, limit)
+			e.replay(c, bound, limit)
 		} else {
 			e.complete(c)
-			completed = true
-		}
-
-		// Re-enqueue the core's next event if it lands inside the window
-		// (event times never decrease, so the slot index cannot go
-		// negative). Out-of-window events wait for a refill.
-		if d := uint64(nextAt[c] - e.wheelBase); d < wheelSlots {
-			e.wheel[d] |= 1 << uint(c)
-			e.wheelOcc |= 1 << d
-		}
-		if completed && e.Done() {
-			e.stop(e.now)
-			return
+			if e.Done() {
+				e.stop(e.now)
+				return
+			}
 		}
 	}
 }
@@ -321,29 +263,17 @@ func (e *Engine) stop(now int64) {
 // one that invalidates or downgrades the same way, and the hierarchy rolls
 // it back at exactly those sites. Misses, upgrades and line-crossing
 // accesses end the phase; they, dispatch and complete stay in exact order.
-// The core runs at most one wheel window past bound (wheelSlots one-cycle
-// hits also fill its undo log): without that limit, memory-bound cells with
-// small L2s ran measurably slower (see DESIGN.md).
-func (e *Engine) replay(c int, limit int64) {
+// The core runs at most runAheadWindow cycles past bound: without that
+// limit, memory-bound cells with small L2s ran measurably slower (see
+// DESIGN.md).
+//
+// bound is the earliest next event of any OTHER core. Stepping c never
+// moves another core's nextAt forward, and a rollback lowers bound to the
+// rewound core's new next event.
+func (e *Engine) replay(c int, bound, limit int64) {
 	hier := e.hier
 	t := e.now
 	cs := &e.cores[c]
-	// bound is the earliest possible event time of any OTHER core: the
-	// wheel's next occupied slot, or, with no other core in the window, the
-	// exact minimum over them (cores outside the window are ≥
-	// wheelBase+wheelSlots by the refill invariant). Stepping c never moves
-	// another core's nextAt forward, and a rollback lowers the bound to the
-	// rewound core's new next event.
-	bound := int64(noBound)
-	if e.wheelOcc != 0 {
-		bound = e.wheelBase + int64(bits.TrailingZeros64(e.wheelOcc))
-	} else {
-		for i, at := range e.nextAt {
-			if i != c && at < bound {
-				bound = at
-			}
-		}
-	}
 	shift := hier.LineShift()
 	// Local copies keep the fused loops free of repeated loads through cs
 	// (the compiler cannot prove AccessLine leaves cs.actions and
@@ -384,7 +314,7 @@ func (e *Engine) replay(c int, limit int64) {
 		t = done
 	}
 
-	end := bound + wheelSlots
+	end := bound + runAheadWindow
 	hits := int64(0)
 	for ip < len(actions) && done < limit {
 		a := actions[ip]
@@ -427,9 +357,8 @@ func lineOf(a trace.Action, shift uint) (uint64, bool) {
 
 // rewind moves every core the hierarchy rolled back during the access just
 // made to its earliest undone hit: ip, next-event time, busy cycles,
-// instruction count and wheel slot. The new event time is never before the
-// access's own, so the core lands back in (or beyond) the window. It
-// returns bound lowered to the rewound cores' new event times.
+// instruction count. The new event time is never before the access's own.
+// It returns bound lowered to the rewound cores' new event times.
 func (e *Engine) rewind(bound int64) int64 {
 	for m := e.hier.Rewound(); m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
@@ -444,17 +373,7 @@ func (e *Engine) rewind(bound int64) int64 {
 		}
 		cs.ip = ip
 		cs.busy -= e.nextAt[c] - at
-		if d := uint64(e.nextAt[c] - e.wheelBase); d < wheelSlots {
-			e.wheel[d] &^= 1 << uint(c)
-			if e.wheel[d] == 0 {
-				e.wheelOcc &^= 1 << d
-			}
-		}
 		e.nextAt[c] = at
-		if d := uint64(at - e.wheelBase); d < wheelSlots {
-			e.wheel[d] |= 1 << uint(c)
-			e.wheelOcc |= 1 << d
-		}
 		e.rollbacks++
 		e.rolledBackHits += int64(undone)
 		if at < bound {

@@ -2,16 +2,17 @@ package sim
 
 // Differential testing of the optimized engine against a stepwise reference.
 //
-// RunUntil earns its speed from four semantic claims: the calendar wheel
-// pops events in exactly the stepwise (time, core-id) lexicographic order;
-// fusing an action run into one pop never reorders operations on shared
-// cache/bus state; a private L1 hit replayed ahead of global order commutes
-// with every other core's access, except one that drops or downgrades the
-// same way after it in stepwise order, and the hierarchy then rolls it back
-// and the engine rewinds the core exactly; and the pre-split AccessLine
-// path is Access exactly. The reference implementation below keeps the
+// RunUntil earns its speed from three semantic claims: fusing an action
+// run into one pop, up to the earliest event of every other core, never
+// reorders operations on shared cache/bus state; a private L1 hit replayed
+// ahead of global order commutes with every other core's access, except
+// one that drops or downgrades the same way after it in stepwise order,
+// and the hierarchy then rolls it back and the engine rewinds the core
+// exactly; and the pre-split AccessLine path is Access exactly. Event
+// selection itself is the reference's own min-scan, extended to also
+// return that second minimum. The reference implementation below keeps the
 // simple invariants — one global min-scan per event, one action per event,
-// Hierarchy.Access for every memory action, no wheel, no fusion, no
+// Hierarchy.Access for every memory action, no fusion, no
 // run-ahead — and the tests here drive both implementations over
 // seeded-random DAGs, schedulers, core counts, and quantum sizes, demanding
 // identical cycles, instruction counts, cache and bus statistics, and
@@ -206,7 +207,7 @@ func TestEngineMatchesReference(t *testing.T) {
 	for gname, mk := range graphs {
 		var engines []*Engine
 		for schedIdx := range schedNames {
-			for _, cores := range []int{1, 2, 3, 8} {
+			for _, cores := range []int{1, 2, 3, 8, 17, 64} {
 				for seed := uint64(1); seed <= 3; seed++ {
 					label := fmt.Sprintf("%s/%s/cores=%d/seed=%d", gname, schedNames[schedIdx], cores, seed)
 					engines = append(engines, comparePair(t, label, mk, seed, schedIdx, cores, 5, func(real, ref *Engine) {
@@ -267,7 +268,7 @@ func TestEngineMatchesReferenceChunked(t *testing.T) {
 
 // TestEngineMatchesReferenceSharedHierarchy is the multiprogramming shape:
 // two engines time-slicing one cache hierarchy. Quantum boundaries land in
-// the middle of fused runs and the wheel window, and every interleaving
+// the middle of fused and run-ahead runs, and every interleaving
 // error shows up as a cache-stat or clock divergence.
 func TestEngineMatchesReferenceSharedHierarchy(t *testing.T) {
 	const quantum = 131

@@ -42,7 +42,7 @@ func RegisterMetrics(r *obs.Registry) {
 		func() int64 { return simCycles.Load() })
 	r.CounterFunc("sim_instructions_total", "", "dynamic instructions executed across all runs",
 		func() int64 { return simInstrs.Load() })
-	r.CounterFunc("sim_events_total", "", "engine event-wheel pops across all runs",
+	r.CounterFunc("sim_events_total", "", "engine event pops across all runs",
 		func() int64 { return simEvents.Load() })
 	r.CounterFunc("sim_runahead_hits_total", "", "private L1 hits replayed ahead of global event order",
 		func() int64 { return simRunAheadHits.Load() })

@@ -112,7 +112,8 @@ func (r *ring) first(key Key) int {
 	return lo
 }
 
-// pick returns the server index owning key. Allocation-free.
+// pick returns the server index owning key. Allocation-free. Only the ring
+// tests call it; remote.get walks the home set through successors.
 func (r *ring) pick(key Key) int { return int(r.points[r.first(key)].srv) }
 
 // successors fills buf with up to len(buf) distinct server indices in ring

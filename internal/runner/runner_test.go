@@ -390,7 +390,18 @@ func TestBudgetExhaustedRunsSerial(t *testing.T) {
 // worker, so a Map runs every job inline without starting a goroutine.
 func TestSerialBudgetStartsNoGoroutine(t *testing.T) {
 	defer SetBudget(SetBudget(1))
+	// A helper of an earlier test's stream can still be exiting after that
+	// stream returned (past its wg.Done). Wait until the count holds still
+	// for a millisecond, so it counts this call's goroutines alone.
 	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
 	jobs := make([]Job[int], 8)
 	for i := range jobs {
 		jobs[i] = func() (int, error) { return runtime.NumGoroutine(), nil }

@@ -35,10 +35,7 @@ import (
 const hardLimit = int64(1) << 40
 
 // coreState is one simulated processor. Its next-event time lives in the
-// engine's dense nextAt array, not here: the event-selection scan reads one
-// word per core, and packing those words into a single cache line (for ≤ 8
-// cores) makes the scan all but free, where striding full coreState structs
-// cost a host-cache miss per core per scan. Hot replay fields lead.
+// engine's nextAt and order arrays, not here. Hot replay fields lead.
 type coreState struct {
 	task      *dag.Node
 	actions   []trace.Action
@@ -58,7 +55,8 @@ type Engine struct {
 	hier  *cache.Hierarchy
 
 	cores   []coreState
-	nextAt  []int64 // per-core next event time, dense for the selection scan
+	nextAt  []int64 // per-core next event time
+	order   []int64 // one eventKey per core, ascending, then a sentinel
 	pending []int32
 	done    int
 	now     int64
@@ -122,10 +120,13 @@ func New(cfg machine.Config, g *dag.Graph, sched core.Scheduler, hier *cache.Hie
 		hier:     hier,
 		cores:    make([]coreState, cfg.Cores),
 		nextAt:   make([]int64, cfg.Cores),
+		order:    make([]int64, cfg.Cores+1),
 		pending:  g.InDegrees(),
 		doneByDF: make([]bool, g.Len()),
 	}
+	e.order[cfg.Cores] = math.MaxInt64
 	for i := range e.cores {
+		e.order[i] = eventKey(0, i)
 		if b, ok := recBufPool.Get().(*[]trace.Action); ok {
 			e.cores[i].rec.Adopt(*b)
 		}
@@ -178,44 +179,35 @@ func (e *Engine) Run() metrics.Run {
 	return r
 }
 
-// noBound stands for "no other core": far beyond any limit, with headroom
-// for the run-ahead window added to it.
-const noBound = math.MaxInt64 / 2
-
 // runAheadWindow is how many cycles past bound a core may replay private L1
 // hits ahead of global order (see replay). 64 one-cycle hits also fill the
 // hierarchy's per-core undo log.
 const runAheadWindow = 64
 
+// eventKey packs a core's next event time above its id (machine.Validate
+// caps cores at 64), so integer order on keys is the stepwise (time,
+// core-id) order: the earliest event first, ties to the lowest core id.
+func eventKey(at int64, c int) int64 { return at<<6 | int64(c) }
+
 // RunUntil advances the simulation until every node is done or the clock
 // reaches limit, whichever is first.
 //
-// Each pop is one pass over the dense nextAt array. The pass selects the
-// core with the earliest next event, ties going to the lowest core id —
-// exactly the stepwise (time, core-id) order — and, as its second minimum,
-// bound: the earliest next event of every other core. The popped core then
-// fuses further actions into the pop, first in exact order up to bound and
-// then ahead of it (private-hit run-ahead, see replay).
+// order holds one eventKey per core, ascending, then a MaxInt64 sentinel:
+// order[0] is the next event and order[1] is bound, the earliest next event
+// of every other core (with no other core, the sentinel: far beyond any
+// limit, even with the run-ahead window added). setNext keeps order sorted.
+// The popped core then fuses further actions into the pop, first in exact
+// order up to bound and then ahead of it (private-hit run-ahead, see replay).
 func (e *Engine) RunUntil(limit int64) {
-	nextAt := e.nextAt
 	for !e.Done() {
-		c, t, bound := 0, nextAt[0], int64(noBound)
-		for i := 1; i < len(nextAt); i++ {
-			if at := nextAt[i]; at < t {
-				c, t, bound = i, at, t
-			} else if at < bound {
-				bound = at
-			}
-		}
+		c, t, bound := int(e.order[0]&63), e.order[0]>>6, e.order[1]>>6
 		// Only the earliest event can end the run at limit. Check before
-		// popping: the event stays pending for a later RunUntil with a
-		// higher limit.
+		// popping: it stays pending for a later RunUntil with a higher limit.
 		if t >= limit {
 			e.stop(limit)
 			return
 		}
 		e.events++
-
 		e.now = t
 		// c's event is the global minimum, so no access that precedes its
 		// run-ahead hits in stepwise order is still to come.
@@ -268,8 +260,7 @@ func (e *Engine) stop(now int64) {
 // DESIGN.md).
 //
 // bound is the earliest next event of any OTHER core. Stepping c never
-// moves another core's nextAt forward, and a rollback lowers bound to the
-// rewound core's new next event.
+// delays another core's event; a rollback lowers bound to the rewound one's.
 func (e *Engine) replay(c int, bound, limit int64) {
 	hier := e.hier
 	t := e.now
@@ -340,7 +331,7 @@ func (e *Engine) replay(c int, bound, limit int64) {
 	cs.ip = ip
 	cs.busy += done - e.now
 	e.instructions += instructions
-	e.nextAt[c] = done
+	e.setNext(c, done)
 }
 
 // lineOf returns the line tag of a memory action and whether the access
@@ -373,7 +364,7 @@ func (e *Engine) rewind(bound int64) int64 {
 		}
 		cs.ip = ip
 		cs.busy -= e.nextAt[c] - at
-		e.nextAt[c] = at
+		e.setNext(c, at)
 		e.rollbacks++
 		e.rolledBackHits += int64(undone)
 		if at < bound {
@@ -381,6 +372,25 @@ func (e *Engine) rewind(bound int64) int64 {
 		}
 	}
 	return bound
+}
+
+// setNext moves core c's next event to cycle at. It finds c's key in order
+// (the popped core's is at the head) and moves it to its new place, shifting
+// the keys in between by one; the sentinel stops the forward shift.
+func (e *Engine) setNext(c int, at int64) {
+	o, k := e.order, eventKey(at, c)
+	i := 0
+	for int(o[i]&63) != c {
+		i++
+	}
+	for ; o[i+1] < k; i++ {
+		o[i] = o[i+1]
+	}
+	for ; i > 0 && o[i-1] > k; i-- {
+		o[i] = o[i-1]
+	}
+	o[i] = k
+	e.nextAt[c] = at
 }
 
 // RunFor advances the simulation by delta cycles from the current clock.
@@ -397,7 +407,7 @@ func (e *Engine) dispatch(c int) {
 			wait = e.cfg.IdleRetry
 		}
 		e.idleCycles += wait
-		e.nextAt[c] = e.now + wait
+		e.setNext(c, e.now+wait)
 		return
 	}
 	cs.task = n
@@ -408,7 +418,7 @@ func (e *Engine) dispatch(c int) {
 		n.Run(&cs.rec)
 	}
 	cs.actions = cs.rec.Actions()
-	e.nextAt[c] = e.now + cost + e.cfg.SpawnOverhead
+	e.setNext(c, e.now+cost+e.cfg.SpawnOverhead)
 }
 
 // complete finishes core c's task at e.now, releasing children.
@@ -417,7 +427,7 @@ func (e *Engine) complete(c int) {
 	n := cs.task
 	cs.task = nil
 	cs.actions = nil
-	e.nextAt[c] = e.now
+	e.setNext(c, e.now)
 
 	e.done++
 	if e.CaptureOrder {

@@ -2,21 +2,21 @@ package sim
 
 // Differential testing of the optimized engine against a stepwise reference.
 //
-// RunUntil earns its speed from three semantic claims: fusing an action
-// run into one pop, up to the earliest event of every other core, never
-// reorders operations on shared cache/bus state; a private L1 hit replayed
-// ahead of global order commutes with every other core's access, except
-// one that drops or downgrades the same way after it in stepwise order,
-// and the hierarchy then rolls it back and the engine rewinds the core
-// exactly; and the pre-split AccessLine path is Access exactly. Event
-// selection itself is the reference's own min-scan, extended to also
-// return that second minimum. The reference implementation below keeps the
-// simple invariants — one global min-scan per event, one action per event,
-// Hierarchy.Access for every memory action, no fusion, no
-// run-ahead — and the tests here drive both implementations over
-// seeded-random DAGs, schedulers, core counts, and quantum sizes, demanding
-// identical cycles, instruction counts, cache and bus statistics, and
-// completion order. Each differential also asserts, through the engine's
+// RunUntil earns its speed from four semantic claims: the head of its
+// sorted order of (time, core id) keys is the event the stepwise min-scan
+// picks, and the next key is the earliest event of every other core;
+// fusing an action run into one pop, up to that event, never reorders
+// operations on shared cache/bus state; a private L1 hit replayed ahead of
+// global order commutes with every other core's access, except one that
+// drops or downgrades the same way after it in stepwise order, and the
+// hierarchy then rolls it back and the engine rewinds the core exactly;
+// and the pre-split AccessLine path is Access exactly. The reference
+// implementation below keeps the simple invariants — one global min-scan
+// per event, one action per event, Hierarchy.Access for every memory
+// action, no sorted order, no fusion, no run-ahead — and the tests here
+// drive both implementations over seeded-random DAGs, schedulers, core
+// counts, and quantum sizes, demanding identical cycles, instruction
+// counts, cache and bus statistics, and completion order. Each differential also asserts, through the engine's
 // counters, that run-ahead hits and rollbacks actually happened in it.
 
 import (

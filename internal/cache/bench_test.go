@@ -19,7 +19,7 @@ func benchParams(cores int) Params {
 }
 
 // BenchmarkAccessLine pins the per-access cost of the hierarchy's single-
-// line fast path across the interesting mixes: way-predicted L1 hits (one
+// line fast path across the interesting mixes: hinted L1 hits (one
 // stream and two alternating streams in one set), L1 misses that hit L2,
 // cold off-chip misses, and a two-core coherence ping-pong.
 func BenchmarkAccessLine(b *testing.B) {
@@ -29,7 +29,7 @@ func BenchmarkAccessLine(b *testing.B) {
 		now := int64(0)
 		for i := 0; i < b.N; i++ {
 			// Four tags in four different sets: every access after the
-			// first four is a way-predicted read hit.
+			// first four is a hinted read hit.
 			now = h.AccessLine(0, uint64(i&3), false, now)
 		}
 		sinkCycles = now
@@ -41,7 +41,7 @@ func BenchmarkAccessLine(b *testing.B) {
 		now := int64(0)
 		for i := 0; i < b.N; i++ {
 			// Two tags in the SAME set, alternating — the mix that defeats
-			// a one-entry way predictor and lands in the two-entry case.
+			// a one-entry hint and lands on the hint's second entry.
 			now = h.AccessLine(0, uint64((i&1)*sets), false, now)
 		}
 		sinkCycles = now

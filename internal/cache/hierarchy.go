@@ -45,29 +45,6 @@ type Hierarchy struct {
 	// the per-access code reads fields at fixed small offsets.
 	lineShift uint
 	lat       Latencies
-	cores     int
-
-	// wayPred[c][s] holds the keys/lines indices of core c's two most
-	// recent L1 hits (or fills) in set s, most recent first — two-entry
-	// way prediction. Replayed traces interleave a few streams (merge
-	// inputs and output, matrix rows); predicting per set short-circuits
-	// repeat hits to one or two compares, and the second entry absorbs the
-	// common case of two streams alternating within one set, where a
-	// single entry would thrash. The filter is self-validating — the fast
-	// hit requires l1.keys[pred] == tag, and every action that drops or
-	// retags a way (coherence invalidation, inclusion back-invalidation,
-	// eviction) rewrites that key — so no explicit invalidation hook
-	// exists to be missed, and stats/LRU/latency behavior is bit-identical
-	// to a full lookup. A stale prediction can only point into its own set
-	// (only indices of set s are ever stored at [c][s], and the zero value
-	// is way 0 of set 0, whose key can never equal a tag belonging to set
-	// s ≠ 0 because the tag embeds the set bits).
-	wayPred [][][2]int32
-
-	// OffchipTransfers counts demand fills + writebacks; OffchipBytes is
-	// the paper's off-chip traffic metric.
-	OffchipTransfers int64
-	OffchipBytes     int64
 
 	attr *Attribution // optional traffic attribution, nil when disabled
 
@@ -119,13 +96,11 @@ func New(p Params) *Hierarchy {
 		l2:     NewSetAssoc("L2", p.L2Size, p.L2Ways, p.LineSize, p.L2MaskedWays),
 		bus:    NewBus(p.BusBPC),
 		lat:    p.Lat,
-		cores:  p.Cores,
 		logs:   make([]hitLog, p.Cores),
 	}
 	h.lineShift = h.l2.lineShift
 	for c := 0; c < p.Cores; c++ {
 		h.l1 = append(h.l1, NewSetAssoc(fmt.Sprintf("L1.%d", c), p.L1Size, p.L1Ways, p.LineSize, 0))
-		h.wayPred = append(h.wayPred, make([][2]int32, h.l1[c].numSets))
 	}
 	return h
 }
@@ -199,17 +174,13 @@ func (h *Hierarchy) RunAheadHit(core int, tag uint64, write bool, at int64, ip i
 	if lg.n == logCap {
 		return 0, false
 	}
-	// Only way-predicted hits run ahead: a miss then costs two compares
-	// here instead of a set scan, and a resident line the predictor missed
-	// simply waits for its turn in exact order.
+	// Only hinted hits run ahead: a miss then costs two compares here
+	// instead of a set scan, and a resident line the hint missed simply
+	// waits for its turn in exact order.
 	l1 := h.l1[core]
-	pe := &h.wayPred[core][tag&l1.setMask]
-	i := int(pe[0])
-	if l1.keys[i] != tag {
-		if i = int(pe[1]); l1.keys[i] != tag {
-			return 0, false
-		}
-		pe[0], pe[1] = pe[1], pe[0]
+	i := l1.probe(tag)
+	if i < 0 {
+		return 0, false
 	}
 	ln := &l1.lines[i]
 	if write && !ln.excl {
@@ -307,25 +278,7 @@ func (h *Hierarchy) rollback(c, way, core int, writesOnly bool) {
 func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int64 {
 	l1 := h.l1[core]
 
-	// Way prediction, then the set scan. Both resolve to the same way when
-	// the line is resident: tags are unique cache-wide (a way in set s only
-	// ever holds tags whose set bits equal s), so a key match at the
-	// predicted index is exactly a lookup hit.
-	set := int(tag & l1.setMask)
-	pe := &h.wayPred[core][set]
-	i := int(pe[0])
-	if l1.keys[i] != tag {
-		if j := int(pe[1]); l1.keys[j] == tag {
-			i = j
-		} else {
-			i = l1.lookup(tag)
-		}
-		if i >= 0 {
-			pe[1] = pe[0]
-			pe[0] = int32(i)
-		}
-	}
-
+	i := l1.lookup(tag)
 	if i >= 0 {
 		ln := &l1.lines[i]
 		l1.touch(ln)
@@ -358,13 +311,7 @@ func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int6
 		// L2 miss: off-chip fill. The bus is held for the line transfer;
 		// DRAM access latency itself pipelines across requesters.
 		h.l2.Stats.Misses++
-		grantDone := h.bus.Transfer(reqAt, h.params.LineSize)
-		h.OffchipTransfers++
-		h.OffchipBytes += int64(h.params.LineSize)
-		if h.attr != nil {
-			h.attr.record(mem.Addr(tag<<h.lineShift), h.params.LineSize)
-		}
-		done = grantDone + h.lat.Mem
+		done = h.offchip(reqAt, tag) + h.lat.Mem
 		// The victim is chosen (and its writeback issued) when the miss
 		// reaches the L2, not after the fill returns — otherwise queued
 		// writebacks would be stamped into the future and artificially
@@ -387,9 +334,17 @@ func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int6
 		l2ln.sharers |= 1 << uint(core)
 	}
 
-	pe[1] = pe[0]
-	pe[0] = int32(h.fillL1(core, tag, write))
+	h.fillL1(core, tag, write)
 	return done
+}
+
+// offchip moves line tag across the bus, requested at cycle now, for a
+// demand fill or a dirty writeback, and returns when the transfer ends.
+func (h *Hierarchy) offchip(now int64, tag uint64) int64 {
+	if h.attr != nil {
+		h.attr.record(mem.Addr(tag<<h.lineShift), h.params.LineSize)
+	}
+	return h.bus.Transfer(now, h.params.LineSize)
 }
 
 // fillL2 inserts a missing line into the L2 for core's access, handling
@@ -415,12 +370,7 @@ func (h *Hierarchy) fillL2(core int, tag uint64, now int64) *line {
 		}
 		if dirty {
 			h.l2.Stats.Writebacks++
-			h.bus.Transfer(now, h.params.LineSize)
-			h.OffchipTransfers++
-			h.OffchipBytes += int64(h.params.LineSize)
-			if h.attr != nil {
-				h.attr.record(mem.Addr(h.l2.keys[vi]<<h.lineShift), h.params.LineSize)
-			}
+			h.offchip(now, h.l2.keys[vi])
 		}
 	}
 	ln := h.l2.install(vi, tag)
@@ -429,9 +379,8 @@ func (h *Hierarchy) fillL2(core int, tag uint64, now int64) *line {
 }
 
 // fillL1 inserts a line into core's L1, writing a dirty victim back into
-// the (inclusive, hence guaranteed present) L2. It returns the filled way's
-// index for the MRU filter.
-func (h *Hierarchy) fillL1(core int, tag uint64, excl bool) int {
+// the (inclusive, hence guaranteed present) L2.
+func (h *Hierarchy) fillL1(core int, tag uint64, excl bool) {
 	l1 := h.l1[core]
 	vi := l1.victim(tag)
 	if l1.keys[vi] != invalidKey {
@@ -445,7 +394,6 @@ func (h *Hierarchy) fillL1(core int, tag uint64, excl bool) int {
 	ln.excl = excl
 	ln.dirty = excl
 	l1.touch(ln)
-	return vi
 }
 
 // dropL1Copy updates the directory when core silently evicts (or writes
@@ -487,7 +435,7 @@ func (h *Hierarchy) invalidateOthersIn(core int, l2ln *line, tag uint64) {
 // whether the dropped copy was dirty.
 func (h *Hierarchy) revoke(c int, tag uint64, core int) (wasDirty bool) {
 	l1 := h.l1[c]
-	i := l1.lookup(tag)
+	i := l1.scan(tag)
 	if i < 0 {
 		return false
 	}
@@ -506,7 +454,7 @@ func (h *Hierarchy) revoke(c int, tag uint64, core int) (wasDirty bool) {
 func (h *Hierarchy) downgradeOwners(core int, l2ln *line, tag uint64) {
 	for m := l2ln.sharers &^ (1 << uint(core)); m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
-		if i := h.l1[c].lookup(tag); i >= 0 {
+		if i := h.l1[c].scan(tag); i >= 0 {
 			if h.logged&(1<<uint(c)) != 0 {
 				h.rollback(c, i, core, true)
 			}

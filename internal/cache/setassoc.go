@@ -25,14 +25,6 @@ type LevelStats struct {
 // Accesses returns hits + misses.
 func (s LevelStats) Accesses() int64 { return s.Hits + s.Misses }
 
-// MissRate returns misses / accesses, or 0 for an untouched cache.
-func (s LevelStats) MissRate() float64 {
-	if a := s.Accesses(); a > 0 {
-		return float64(s.Misses) / float64(a)
-	}
-	return 0
-}
-
 // invalidKey is the search-key value of an empty (invalid) way. Simulated
 // addresses carry an 8-bit space id above a 40-bit offset (see internal/mem),
 // so real line tags never exceed 2^48 and can never collide with it.
@@ -68,9 +60,9 @@ type SetAssoc struct {
 	numSets   int
 	lineShift uint
 	setMask   uint64
-	keys      []uint64 // numSets * ways, set-major: tag or invalidKey
-	lines     []line   // numSets * ways, set-major, parallel to keys
-	pred      []int32  // per-set MRU way index, a lookup/install hint
+	keys      []uint64   // numSets * ways, set-major: tag or invalidKey
+	lines     []line     // numSets * ways, set-major, parallel to keys
+	pred      [][2]int32 // per set: its two most recent ways, a lookup hint
 	clock     uint64
 	Stats     LevelStats
 }
@@ -112,7 +104,7 @@ func NewSetAssoc(name string, size int64, ways, lineSize, maskedWays int) *SetAs
 		setMask:   uint64(numSets - 1),
 		keys:      keys,
 		lines:     make([]line, numSets*ways),
-		pred:      make([]int32, numSets),
+		pred:      make([][2]int32, numSets),
 	}
 }
 
@@ -131,32 +123,63 @@ func (c *SetAssoc) lineAddr(a mem.Addr) uint64 { return uint64(a) >> c.lineShift
 func (c *SetAssoc) setOf(tag uint64) int { return int(tag & c.setMask) }
 
 // lookup finds the way holding tag, returning its index into keys/lines, or
-// -1 on miss. Does not touch LRU or stats. The scan reads only the dense
-// keys array; an empty way's key is invalidKey, which no real tag equals, so
-// no separate validity check is needed.
+// -1 on miss, and makes that way the first of its set's hint. Does not
+// touch LRU or stats.
 //
-// A per-set MRU hint short-circuits the associative scan: pred[set] is the
-// way last found or installed for that set, validated by re-comparing its
-// stored key — a stale or cross-set hint simply fails the compare and falls
-// through to the scan, so the hint can never change what lookup returns
-// (tags are unique cache-wide: at most one way ever holds a given tag).
-// This matters most for the 16-way shared L2, whose directory is consulted
-// on every L1 eviction and coherence action.
+// pred[set] holds the set's two most recently found or installed ways,
+// most recent first. Replayed traces interleave a few streams (merge inputs
+// and output, matrix rows); the hint short-circuits repeat hits to one or
+// two compares, and its second entry absorbs two streams alternating within
+// one set, where a single entry would thrash. A hinted way counts only if
+// its stored key equals tag, and tags are unique cache-wide (at most one
+// way ever holds a given tag), so a stale hint — one whose way was dropped
+// or refilled, or the zero value, way 0 of set 0 — falls through to the
+// scan and can never change what lookup returns. The scan reads only the
+// dense keys array; an empty way's key is invalidKey, which no real tag
+// equals, so no separate validity check is needed.
 func (c *SetAssoc) lookup(tag uint64) int {
-	set := c.setOf(tag)
-	if p := int(c.pred[set]); c.keys[p] == tag {
-		return p
+	if i := c.probe(tag); i >= 0 {
+		return i
 	}
-	base := set * c.ways
+	i := c.scan(tag)
+	if i >= 0 {
+		c.hint(tag, i)
+	}
+	return i
+}
+
+// probe is lookup limited to the two hinted ways: it returns the hinted way
+// holding tag, moved to the front of the hint, or -1.
+func (c *SetAssoc) probe(tag uint64) int {
+	p := &c.pred[c.setOf(tag)]
+	if i := int(p[0]); c.keys[i] == tag {
+		return i
+	}
+	if i := int(p[1]); c.keys[i] == tag {
+		p[0], p[1] = p[1], p[0]
+		return i
+	}
+	return -1
+}
+
+// scan is lookup without the hint: it searches tag's set and leaves the
+// hint alone. Another core's coherence action looks into an L1 this way,
+// so an L1's hint moves only with its own core's accesses.
+func (c *SetAssoc) scan(tag uint64) int {
+	base := c.setOf(tag) * c.ways
 	keys := c.keys[base : base+c.effWays]
 	for w := range keys {
 		if keys[w] == tag {
-			i := base + w
-			c.pred[set] = int32(i)
-			return i
+			return base + w
 		}
 	}
 	return -1
+}
+
+// hint pushes way i onto the front of tag's set hint.
+func (c *SetAssoc) hint(tag uint64, i int) {
+	p := &c.pred[c.setOf(tag)]
+	p[1], p[0] = p[0], int32(i)
 }
 
 // touch marks a line as most recently used.
@@ -190,7 +213,7 @@ func (c *SetAssoc) victim(tag uint64) int {
 func (c *SetAssoc) install(i int, tag uint64) *line {
 	c.keys[i] = tag
 	c.lines[i] = line{}
-	c.pred[c.setOf(tag)] = int32(i)
+	c.hint(tag, i)
 	return &c.lines[i]
 }
 

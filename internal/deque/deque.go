@@ -81,21 +81,3 @@ func (d *Deque[T]) PopBottom() (v T, ok bool) {
 	d.length--
 	return v, true
 }
-
-// PeekBottom returns the oldest element without removing it.
-func (d *Deque[T]) PeekBottom() (v T, ok bool) {
-	if d.length == 0 {
-		var zero T
-		return zero, false
-	}
-	return d.buf[d.head], true
-}
-
-// PeekTop returns the newest element without removing it.
-func (d *Deque[T]) PeekTop() (v T, ok bool) {
-	if d.length == 0 {
-		var zero T
-		return zero, false
-	}
-	return d.buf[(d.head+d.length-1)%len(d.buf)], true
-}

@@ -18,12 +18,6 @@ func TestEmpty(t *testing.T) {
 	if _, ok := d.PopBottom(); ok {
 		t.Fatal("PopBottom on empty returned ok")
 	}
-	if _, ok := d.PeekTop(); ok {
-		t.Fatal("PeekTop on empty returned ok")
-	}
-	if _, ok := d.PeekBottom(); ok {
-		t.Fatal("PeekBottom on empty returned ok")
-	}
 }
 
 func TestLIFOOwnerOrder(t *testing.T) {
@@ -120,21 +114,6 @@ func TestGrowthAcrossWrap(t *testing.T) {
 		if !ok || v != want {
 			t.Fatalf("after wrap/grow: got (%d,%v), want %d", v, ok, want)
 		}
-	}
-}
-
-func TestPeeks(t *testing.T) {
-	var d Deque[string]
-	d.PushTop("old")
-	d.PushTop("new")
-	if v, _ := d.PeekBottom(); v != "old" {
-		t.Fatalf("PeekBottom = %q", v)
-	}
-	if v, _ := d.PeekTop(); v != "new" {
-		t.Fatalf("PeekTop = %q", v)
-	}
-	if d.Len() != 2 {
-		t.Fatal("peek mutated deque")
 	}
 }
 

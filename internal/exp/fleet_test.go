@@ -44,11 +44,8 @@ func TestFleetMatchesSingle(t *testing.T) {
 
 	attach := func(urls string, replicas int) *rcache.Store {
 		t.Helper()
-		s, err := rcache.Open(t.TempDir(), false)
+		s, err := (&rcache.CLI{Dir: t.TempDir(), Remote: urls, Replicas: replicas}).Open()
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AttachRemoteFleet(urls, replicas); err != nil {
 			t.Fatal(err)
 		}
 		return s

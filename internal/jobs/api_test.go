@@ -568,7 +568,7 @@ func TestMetricsExposeFleetShards(t *testing.T) {
 	const deadURL = "http://127.0.0.1:1"
 
 	store := rcache.NewMemory()
-	if err := store.AttachRemoteFleet(live.URL+","+deadURL, 0); err != nil {
+	if err := store.AttachRemote(live.URL + "," + deadURL); err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()

@@ -51,15 +51,6 @@ func (h *Min[T]) Pop() (payload T, key int64, ok bool) {
 	return top.Payload, top.Key, true
 }
 
-// Peek returns the minimum-key item without removing it.
-func (h *Min[T]) Peek() (payload T, key int64, ok bool) {
-	if len(h.items) == 0 {
-		var zero T
-		return zero, 0, false
-	}
-	return h.items[0].Payload, h.items[0].Key, true
-}
-
 func (h *Min[T]) siftUp(i int) {
 	item := h.items[i]
 	for i > 0 {

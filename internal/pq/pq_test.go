@@ -13,9 +13,6 @@ func TestEmptyPop(t *testing.T) {
 	if _, _, ok := h.Pop(); ok {
 		t.Fatal("Pop on empty returned ok")
 	}
-	if _, _, ok := h.Peek(); ok {
-		t.Fatal("Peek on empty returned ok")
-	}
 	if h.Len() != 0 {
 		t.Fatal("empty heap has nonzero Len")
 	}
@@ -45,10 +42,6 @@ func TestPayloadAssociation(t *testing.T) {
 	p, k, _ := h.Pop()
 	if p != "one" || k != 1 {
 		t.Fatalf("got (%q,%d), want (one,1)", p, k)
-	}
-	p, _, _ = h.Peek()
-	if p != "two" {
-		t.Fatalf("peek got %q, want two", p)
 	}
 }
 

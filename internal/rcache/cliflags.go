@@ -87,8 +87,12 @@ func (c *CLI) RunGC() (string, error) {
 // Open returns the store the flags describe: disk-backed under -cache DIR
 // (memory-only otherwise — in-process dedup is always on; output is
 // byte-identical either way), with the -cache-remote tier attached behind
-// it when given. Callers must Close the store before exit so pending remote
-// write-backs drain.
+// it when given, as AttachRemote attaches it. With Replicas > 0 every
+// computed cell is also written to that many distinct ring successors of its
+// owning shard, and reads fall through the same home set before declaring a
+// miss, so a lost shard's keys stay warm on its neighbors; a replica count
+// the fleet can't honor is an error. Callers must Close the store before
+// exit so pending remote write-backs drain.
 func (c *CLI) Open() (*Store, error) {
 	s := NewMemory()
 	if c.Dir != "" {
@@ -100,9 +104,11 @@ func (c *CLI) Open() (*Store, error) {
 		s.readonly = true
 	}
 	if c.Remote != "" {
-		if err := s.AttachRemoteFleet(c.Remote, c.Replicas); err != nil {
+		r, err := newRemote(c.Remote, c.Replicas)
+		if err != nil {
 			return nil, err
 		}
+		s.remote = r
 	}
 	return s, nil
 }

@@ -41,9 +41,10 @@ func TestRingOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.close()
+	var buf [1]int
 	for _, key := range testKeys(4096) {
-		sa := a.servers[a.ring.pick(key)].base
-		sb := b.servers[b.ring.pick(key)].base
+		sa := a.servers[a.ring.successors(key, buf[:1])[0]].base
+		sb := b.servers[b.ring.successors(key, buf[:1])[0]].base
 		if sa != sb {
 			t.Fatalf("key %s: assignment depends on list spelling (%s vs %s)", key, sa, sb)
 		}
@@ -61,8 +62,9 @@ func TestRingBalance(t *testing.T) {
 		r := buildRing(urls)
 		counts := make([]int, nsrv)
 		keys := testKeys(32768)
+		var buf [1]int
 		for _, key := range keys {
-			counts[r.pick(key)]++
+			counts[r.successors(key, buf[:1])[0]]++
 		}
 		want := float64(len(keys)) / float64(nsrv)
 		for i, c := range counts {
@@ -85,6 +87,7 @@ func TestRingBoundedChurn(t *testing.T) {
 	}
 	full := buildRing(urls)
 	keys := testKeys(16384)
+	var buf [1]int
 
 	for removed := 0; removed < nsrv; removed++ {
 		var rest []string
@@ -96,8 +99,8 @@ func TestRingBoundedChurn(t *testing.T) {
 		shrunk := buildRing(rest)
 		moved := 0
 		for _, key := range keys {
-			before := urls[full.pick(key)]
-			after := rest[shrunk.pick(key)]
+			before := urls[full.successors(key, buf[:1])[0]]
+			after := rest[shrunk.successors(key, buf[:1])[0]]
 			if before == after {
 				continue
 			}
@@ -121,12 +124,13 @@ func TestRingSuccessors(t *testing.T) {
 	r := buildRing(urls)
 	var buf [maxReplicas + 1]int
 	for _, key := range testKeys(1024) {
+		owner := r.successors(key, buf[:1])[0]
 		home := r.successors(key, buf[:2])
 		if len(home) != 2 {
 			t.Fatalf("want 2 distinct successors from 3 servers, got %v", home)
 		}
-		if home[0] != r.pick(key) {
-			t.Fatalf("home set does not start at the owner: %v vs %d", home, r.pick(key))
+		if home[0] != owner {
+			t.Fatalf("home set does not start at the owner: %v vs %d", home, owner)
 		}
 		if home[0] == home[1] {
 			t.Fatalf("duplicate server in home set: %v", home)
@@ -249,8 +253,8 @@ func TestFleetReplicationSurvivesShardLoss(t *testing.T) {
 	keys := testKeys(48)
 	want := testRun()
 
-	a := NewMemory()
-	if err := a.AttachRemoteFleet(list, 1); err != nil {
+	a, err := (&CLI{Remote: list, Replicas: 1}).Open()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range keys {
@@ -272,8 +276,8 @@ func TestFleetReplicationSurvivesShardLoss(t *testing.T) {
 	// hides the loss): every key must still be served by the survivors.
 	for down := range srvs {
 		deadList := list // the fleet spec still names the dead shard
-		b := NewMemory()
-		if err := b.AttachRemoteFleet(deadList, 1); err != nil {
+		b, err := (&CLI{Remote: deadList, Replicas: 1}).Open()
+		if err != nil {
 			t.Fatal(err)
 		}
 		// Point the dead shard's transport at a closed port by latching it
@@ -344,8 +348,8 @@ func TestFleetNeverServesWrongKey(t *testing.T) {
 	}
 	seed.Close()
 
-	s := NewMemory()
-	if err := s.AttachRemoteFleet(evil.URL+","+good.URL, 1); err != nil {
+	s, err := (&CLI{Remote: evil.URL + "," + good.URL, Replicas: 1}).Open()
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
@@ -441,11 +445,12 @@ func BenchmarkRingPick(b *testing.B) {
 	}
 	r := buildRing(urls)
 	keys := testKeys(1024)
+	var buf [1]int
 	b.ReportAllocs()
 	b.ResetTimer()
 	sink := 0
 	for i := 0; i < b.N; i++ {
-		sink += r.pick(keys[i&1023])
+		sink += r.successors(keys[i&1023], buf[:1])[0]
 	}
 	_ = sink
 }
@@ -483,8 +488,8 @@ func benchFleet(b *testing.B, n, nkeys, replicas int) (*remote, []Key) {
 	list := strings.Join(urls, ",")
 	keys := testKeys(nkeys)
 	if nkeys > 0 {
-		seed := NewMemory()
-		if err := seed.AttachRemoteFleet(list, replicas); err != nil {
+		seed, err := (&CLI{Remote: list, Replicas: replicas}).Open()
+		if err != nil {
 			b.Fatal(err)
 		}
 		run := testRun()
@@ -558,12 +563,13 @@ func BenchmarkFleetPut(b *testing.B) {
 func TestRingPickZeroAlloc(t *testing.T) {
 	r := buildRing([]string{"http://a:1", "http://b:1", "http://c:1"})
 	keys := testKeys(64)
+	var buf [1]int
 	allocs := testing.AllocsPerRun(1000, func() {
 		for _, key := range keys {
-			r.pick(key)
+			r.successors(key, buf[:1])
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ring.pick allocates %.1f per 64 lookups; the hot path must be allocation-free", allocs)
+		t.Fatalf("ring.successors allocates %.1f per 64 owner lookups; the hot path must be allocation-free", allocs)
 	}
 }

@@ -141,9 +141,6 @@ type ShardStats struct {
 	Latched bool  // currently latched down
 }
 
-// Lookups returns the total number of Do calls observed.
-func (s Stats) Lookups() int64 { return s.MemHits + s.DiskHits + s.RemoteHits + s.Misses + s.Dedup }
-
 // Hits returns the lookups that avoided a fresh simulation.
 func (s Stats) Hits() int64 { return s.MemHits + s.DiskHits + s.RemoteHits + s.Dedup }
 
@@ -195,24 +192,16 @@ func Open(dir string, readonly bool) (*Store, error) {
 // the disk tier: lookups missing locally are fetched from the fleet and
 // filled into the local store; computed cells are written back
 // asynchronously. urls is a comma-separated list; with more than one
-// server, keys are consistent-hashed across the fleet (see fleet.go).
-// Equivalent to AttachRemoteFleet(urls, 0).
+// server, keys are consistent-hashed across the fleet (see fleet.go). Call
+// before the first Do. Errors reject malformed URLs and duplicate servers —
+// an unreachable server is detected lazily and degrades that shard to
+// misses rather than failing anything. CLI.Open attaches a fleet with
+// write replication.
 func (s *Store) AttachRemote(urls string) error {
-	return s.AttachRemoteFleet(urls, 0)
-}
-
-// AttachRemoteFleet is AttachRemote with write replication: every computed
-// cell is written back to its owning shard and its `replicas` distinct ring
-// successors, and reads fall through the same home set before declaring a
-// miss — so a lost shard's keys stay warm on its neighbors. Call before the
-// first Do. Errors reject malformed URLs, duplicate servers, and a replica
-// count the fleet can't honor — an unreachable server is detected lazily
-// and degrades that shard to misses rather than failing anything.
-func (s *Store) AttachRemoteFleet(urls string, replicas int) error {
 	if s.remote != nil {
 		return fmt.Errorf("rcache: remote already attached")
 	}
-	r, err := newRemote(urls, replicas)
+	r, err := newRemote(urls, 0)
 	if err != nil {
 		return err
 	}

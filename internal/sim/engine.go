@@ -488,10 +488,11 @@ func (e *Engine) Result() metrics.Run {
 	r.L2Hits = l2.Hits
 	r.L2Misses = l2.Misses
 	r.L2Writebacks = l2.Writebacks
-	r.OffchipTransfers = e.hier.OffchipTransfers
-	r.OffchipBytes = e.hier.OffchipBytes
-	r.BusQueueCycles = e.hier.Bus().QueueCycles
-	r.BusUtilization = e.hier.Bus().Utilization(e.now)
+	bus := e.hier.Bus()
+	r.OffchipTransfers = bus.Transfers
+	r.OffchipBytes = bus.Bytes
+	r.BusQueueCycles = bus.QueueCycles
+	r.BusUtilization = bus.Utilization(e.now)
 	ss := e.sched.Stats()
 	r.Steals = ss.Steals
 	r.StealProbes = ss.StealProbes

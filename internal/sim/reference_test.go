@@ -92,7 +92,7 @@ func hierState(h *cache.Hierarchy, cores int) string {
 		fmt.Fprintf(&b, "L1.%d %+v\n", c, h.L1(c).Stats)
 	}
 	fmt.Fprintf(&b, "L2 %+v\noffchip %d transfers %d bytes\nbus queue %d",
-		h.L2().Stats, h.OffchipTransfers, h.OffchipBytes, h.Bus().QueueCycles)
+		h.L2().Stats, h.Bus().Transfers, h.Bus().Bytes, h.Bus().QueueCycles)
 	return b.String()
 }
 

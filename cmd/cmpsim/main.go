@@ -112,7 +112,7 @@ func main() {
 	}
 	key := rcache.KeyOf(cfg, spec, *sched, *seed, false)
 	r, err := store.Do(key, func() (metrics.Run, error) {
-		return exp.RunOneSeeded(cfg, spec, *sched, *seed)
+		return exp.RunOneSeeded(cfg, spec, *sched, *seed, nil)
 	})
 	// Drain the remote write-back (if any) before stats or exit, as sweep
 	// does: a one-cell run that computed must still reach the shared server.

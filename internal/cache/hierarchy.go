@@ -277,8 +277,12 @@ func (h *Hierarchy) rollback(c, way, core int, writesOnly bool) {
 // identified by its tag (line address >> lineShift).
 func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int64 {
 	l1 := h.l1[core]
-
-	i := l1.lookup(tag)
+	// probe inlines and lookup does not, so a hinted hit costs no call; a
+	// probe miss repeats the two compares inside lookup before its scan.
+	i := l1.probe(tag)
+	if i < 0 {
+		i = l1.lookup(tag)
+	}
 	if i >= 0 {
 		ln := &l1.lines[i]
 		l1.touch(ln)

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"strconv"
+
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/workloads"
@@ -32,7 +34,7 @@ func gridA1Grain(quick bool) *grid.Grid {
 		}
 		seen[g] = true
 		wps = append(wps, grid.WorkloadPoint{
-			Labels: []string{itoa(int64(g))},
+			Labels: []string{strconv.Itoa(g)},
 			Spec:   workloads.Spec{Name: "mergesort", N: n, Grain: g, Seed: Seed},
 		})
 	}
@@ -74,8 +76,8 @@ func gridA2L2Size(quick bool) *grid.Grid {
 	for i, l2 := range sizes {
 		cfg := machine.Default(cores)
 		cfg.L2Size = l2
-		cfg.Name = "l2-" + byteSize(l2)
-		cps[i] = grid.ConfigPoint{Labels: []string{byteSize(l2)}, Config: cfg}
+		cfg.Name = "l2-" + grid.FmtBytes(l2)
+		cps[i] = grid.ConfigPoint{Labels: []string{grid.FmtBytes(l2)}, Config: cfg}
 	}
 	return &grid.Grid{
 		ID:        "a2-l2size",

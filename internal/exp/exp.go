@@ -35,7 +35,7 @@ const Seed = 20060730 // SPAA'06 opening day
 var Parallelism = runtime.GOMAXPROCS(0)
 
 // Cache, when non-nil, memoizes simulation cells by their content address
-// (config + spec + scheduler + Seed + quick) through runCells. Because every
+// (config + spec + scheduler + Seed + quick) through runCell. Because every
 // cell is a deterministic function of that identity, a cached Run is byte-
 // for-byte the record a fresh simulation would produce, so experiment output
 // is identical with the cache off, cold, or warm. Set it (like Parallelism)
@@ -59,32 +59,13 @@ var Tracer *obs.Tracer
 // fresh); the cold-sweep benchmark pair flips this.
 var InstancePool = workloads.DefaultPool
 
-// A cell names one independent simulation: a workload instance on a machine
-// configuration under a scheduler. Experiments enumerate their cells up
-// front and submit the batch to the runner instead of looping over RunOne.
-type cell struct {
-	cfg   machine.Config
-	spec  workloads.Spec
-	sched string
-}
-
-// runCells executes cells across Parallelism workers, returning runs in
-// cell order (the runner guarantees submit-order delivery, so output is
-// byte-identical to a serial loop). quick is part of each cell's cache
-// identity: published (full) and quick tables never share entries even
-// where their shrunken parameters happen to collide.
-func runCells(quick bool, cells []cell) ([]metrics.Run, error) {
-	jobs := make([]runner.Job[metrics.Run], len(cells))
-	for i, c := range cells {
-		jobs[i] = func() (metrics.Run, error) { return runCell(c, quick, Tracer) }
-	}
-	return runner.Map(Parallelism, jobs)
-}
-
-// runCell simulates one cell, consulting the injected cache when present.
-// Concurrent requests for the same key — e.g. fig1-misses and fig1-speedup
-// racing to the same mergesort cells under `sweep -exp all` — simulate once;
-// the cache's singleflight layer parks the latecomer on the first result.
+// runCell simulates one grid cell, consulting the injected cache when
+// present. quick is part of the cell's cache identity: published (full) and
+// quick tables never share entries even where their shrunken parameters
+// happen to collide. Concurrent requests for the same key — e.g.
+// fig1-misses and fig1-speedup racing to the same mergesort cells under
+// `sweep -exp all` — simulate once; the cache's singleflight layer parks the
+// latecomer on the first result.
 //
 // The cell runs under pprof labels naming its (workload, config, sched)
 // identity, so a CPU profile taken over a sweep (`sweep -cpuprofile`)
@@ -92,28 +73,22 @@ func runCells(quick bool, cells []cell) ([]metrics.Run, error) {
 // timing the execution phases. The registry path passes the package-level
 // Tracer, while the job service (internal/jobs) hands every grid its own
 // per-job tracer so one service process can attribute spans to submissions.
-func runCell(c cell, quick bool, tr *obs.Tracer) (r metrics.Run, err error) {
-	sp := tr.StartSpan(c.spec.String(), c.cfg.Name, c.sched, quick)
+func runCell(c grid.Cell, quick bool, tr *obs.Tracer) (r metrics.Run, err error) {
+	sp := tr.StartSpan(c.Spec.String(), c.Config.Name, c.Sched, quick)
 	defer sp.Finish()
-	labels := pprof.Labels("workload", c.spec.Name, "config", c.cfg.Name, "sched", c.sched)
+	labels := pprof.Labels("workload", c.Spec.Name, "config", c.Config.Name, "sched", c.Sched)
 	pprof.Do(context.Background(), labels, func(context.Context) {
 		if Cache == nil {
 			sp.SetOutcome("uncached")
-			r, err = runOneSpan(c.cfg, c.spec, c.sched, Seed, sp)
+			r, err = RunOneSeeded(c.Config, c.Spec, c.Sched, Seed, sp)
 			return
 		}
-		key := rcache.KeyOf(c.cfg, c.spec, c.sched, Seed, quick)
+		key := rcache.KeyOf(c.Config, c.Spec, c.Sched, Seed, quick)
 		r, err = Cache.DoSpan(key, sp, func() (metrics.Run, error) {
-			return runOneSpan(c.cfg, c.spec, c.sched, Seed, sp)
+			return RunOneSeeded(c.Config, c.Spec, c.Sched, Seed, sp)
 		})
 	})
 	return r, err
-}
-
-// pairCells enumerates the pdf/ws cell pair for one (config, workload)
-// point — the shape almost every experiment sweeps.
-func pairCells(cfg machine.Config, spec workloads.Spec) []cell {
-	return []cell{{cfg, spec, "pdf"}, {cfg, spec, "ws"}}
 }
 
 // OverheadsOf extracts the scheduler cost knobs from a machine config.
@@ -126,26 +101,21 @@ func OverheadsOf(cfg machine.Config) core.Overheads {
 	}
 }
 
-// RunOne acquires an instance of spec (from InstancePool when enabled,
-// freshly built otherwise) and simulates it on cfg under the named
-// scheduler, verifying functional correctness. This is the uncached compute
-// path; experiment cells go through runCells, which layers the optional
-// Cache on top.
+// RunOne is RunOneSeeded at the experiments' Seed, recording no span.
 func RunOne(cfg machine.Config, spec workloads.Spec, sched string) (metrics.Run, error) {
-	return RunOneSeeded(cfg, spec, sched, Seed)
+	return RunOneSeeded(cfg, spec, sched, Seed, nil)
 }
 
-// RunOneSeeded is RunOne with an explicit scheduler seed (WS victim
-// selection); cmd/cmpsim exposes the seed as a flag, experiments pin it to
-// Seed.
-func RunOneSeeded(cfg machine.Config, spec workloads.Spec, sched string, seed uint64) (metrics.Run, error) {
-	return runOneSpan(cfg, spec, sched, seed, nil)
-}
-
-// runOneSpan is the span-carrying compute path: instance acquisition times
-// into the span's pool-acquire/build/reset phases (split by Acquire) and
-// everything from arming through verification into its simulate phase.
-func runOneSpan(cfg machine.Config, spec workloads.Spec, sched string, seed uint64, sp *obs.Span) (metrics.Run, error) {
+// RunOneSeeded acquires an instance of spec (from InstancePool when
+// enabled, freshly built otherwise) and simulates it on cfg under the named
+// scheduler with an explicit scheduler seed (WS victim selection),
+// verifying functional correctness. This is the uncached compute path;
+// grid cells go through runCell, which layers the optional Cache on top.
+// Instance acquisition times into sp's pool-acquire/build/reset phases
+// (split by Acquire) and everything from arming through verification into
+// its simulate phase; a nil sp records nothing. cmd/cmpsim exposes the seed
+// as a flag, experiments pin it to Seed.
+func RunOneSeeded(cfg machine.Config, spec workloads.Spec, sched string, seed uint64, sp *obs.Span) (metrics.Run, error) {
 	in := InstancePool.Acquire(spec, sp)
 	endSim := sp.StartPhase(obs.PhaseSimulate)
 	defer endSim()
@@ -173,12 +143,10 @@ type Result struct {
 
 // An experiment produces a Result. quick mode shrinks problem sizes by ~8x
 // so the whole suite runs inside `go test`; published numbers use full mode.
-// Most experiments are declarative: grid builds the scenario Grid for the
-// requested mode and RunGrid executes it. Only experiments whose shape is
-// not a pure (workload x config x scheduler) product keep a bespoke run
-// function: t4-multiprog time-slices two engines over one shared hierarchy
-// (cells are not independent) and a5-premature analyzes DAG shape outside
-// any simulation cell.
+// Every experiment but one is declarative: grid builds the scenario Grid for
+// the requested mode and RunGrid executes it. t4-multiprog alone keeps a
+// bespoke run function: it time-slices two engines over one shared
+// hierarchy, so its cells are not independent.
 type experiment struct {
 	id   string
 	desc string
@@ -199,7 +167,7 @@ var registry = []experiment{
 	{id: "a2-l2size", desc: "Ablation: L2 capacity sweep at 16 cores", grid: gridA2L2Size},
 	{id: "a3-bandwidth", desc: "Ablation: off-chip bandwidth sweep at 16 cores", grid: gridA3Bandwidth},
 	{id: "a4-stealpolicy", desc: "Ablation: scheduler policy variants", grid: gridA4Policies},
-	{id: "a5-premature", desc: "Premature nodes: the SPAA'04 working-set bound, measured", run: runA5Premature},
+	{id: "a5-premature", desc: "Premature nodes: the SPAA'04 working-set bound, measured", grid: gridA5Premature},
 }
 
 // IDs lists experiment ids in canonical order.
@@ -265,12 +233,8 @@ func RunGridStream(ctx context.Context, g *grid.Grid, quick bool, tr *obs.Tracer
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	gcells := g.Cells()
-	n := len(gcells)
-	cells := make([]cell, n)
-	for i, c := range gcells {
-		cells[i] = cell{cfg: c.Config, spec: c.Spec, sched: c.Sched}
-	}
+	cells := g.Cells()
+	n := len(cells)
 	jobs := make([]runner.Job[metrics.Run], n)
 	for i, c := range cells {
 		jobs[i] = func() (metrics.Run, error) {

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"strconv"
+
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/workloads"
@@ -27,7 +29,7 @@ func fig1Configs(quick bool) []grid.ConfigPoint {
 func coresPoints(configs []machine.Config) []grid.ConfigPoint {
 	pts := make([]grid.ConfigPoint, len(configs))
 	for i, cfg := range configs {
-		pts[i] = grid.ConfigPoint{Labels: []string{itoa(int64(cfg.Cores))}, Config: cfg}
+		pts[i] = grid.ConfigPoint{Labels: []string{strconv.Itoa(cfg.Cores)}, Config: cfg}
 	}
 	return pts
 }

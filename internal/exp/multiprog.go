@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"strconv"
+
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -139,12 +141,12 @@ func multiprogOnce(sched string, cores int, quantum int64, quick bool) ([]string
 
 	row := []string{
 		sched,
-		itoa(int64(heldA)),
+		strconv.Itoa(heldA),
 		formatF(survival),
 		formatF(preMPKI),
 		formatF(resMPKI),
 		formatF(spike),
-		itoa(refill),
+		strconv.FormatInt(refill, 10),
 	}
 	return row, []metrics.Run{ra, rb}, nil
 }
@@ -163,7 +165,7 @@ func formatF(v float64) string {
 		v = -v
 	}
 	scaled := int64(v*1000 + 0.5)
-	s := itoa(scaled/1000) + "." + pad3(scaled%1000)
+	s := strconv.FormatInt(scaled/1000, 10) + "." + pad3(scaled%1000)
 	if neg {
 		s = "-" + s
 	}
@@ -171,7 +173,7 @@ func formatF(v float64) string {
 }
 
 func pad3(v int64) string {
-	s := itoa(v)
+	s := strconv.FormatInt(v, 10)
 	for len(s) < 3 {
 		s = "0" + s
 	}

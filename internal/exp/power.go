@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"strconv"
+
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/workloads"
@@ -28,7 +30,7 @@ func gridT3Power(quick bool) *grid.Grid {
 		cfg.L2MaskedWays = masked
 		capacity := cfg.L2Size * int64(cfg.L2Ways-cfg.L2MaskedWays) / int64(cfg.L2Ways)
 		cps[i] = grid.ConfigPoint{
-			Labels: []string{itoa(int64(masked)), byteSize(capacity)},
+			Labels: []string{strconv.Itoa(masked), grid.FmtBytes(capacity)},
 			Config: cfg,
 		}
 	}
@@ -52,29 +54,4 @@ func gridT3Power(quick bool) *grid.Grid {
 			grid.Col("ws slowdown", slowdown("ws")),
 		},
 	}
-}
-
-func byteSize(b int64) string {
-	switch {
-	case b >= 1<<20:
-		return itoa(b>>20) + "MiB"
-	case b >= 1<<10:
-		return itoa(b>>10) + "KiB"
-	default:
-		return itoa(b) + "B"
-	}
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -307,7 +307,7 @@ func (d *Def) configPoints() ([]ConfigPoint, error) {
 						cps = append(cps, ConfigPoint{
 							Labels: []string{
 								strconv.Itoa(cfg.Cores),
-								fmtBytes(cfg.L2Size),
+								FmtBytes(cfg.L2Size),
 								strconv.Itoa(cfg.L2Ways),
 								fmtBW(cfg.BusBPC),
 								strconv.Itoa(cfg.L2MaskedWays),
@@ -485,7 +485,9 @@ func parseBytes(s string) (int64, error) {
 	return v * mult, nil
 }
 
-func fmtBytes(b int64) string {
+// FmtBytes renders a byte count exactly, in the largest of MiB, KiB or B
+// that divides it: 1536 KiB prints as "1536KiB", never a truncated "1MiB".
+func FmtBytes(b int64) string {
 	switch {
 	case b >= 1<<20 && b%(1<<20) == 0:
 		return strconv.FormatInt(b>>20, 10) + "MiB"

@@ -60,25 +60,6 @@ func (r Run) L1MPKI() float64 {
 	return float64(r.L1Misses) * 1000 / float64(r.Instructions)
 }
 
-// SpeedupOver returns how much faster this run is than base (typically the
-// same workload on one core): base.Cycles / r.Cycles.
-func (r Run) SpeedupOver(base Run) float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(base.Cycles) / float64(r.Cycles)
-}
-
-// TrafficReductionVs returns the fractional off-chip traffic reduction of r
-// relative to other: positive when r moves fewer bytes. This is the paper's
-// "13-41% reduction in off-chip traffic" metric.
-func (r Run) TrafficReductionVs(other Run) float64 {
-	if other.OffchipBytes == 0 {
-		return 0
-	}
-	return 1 - float64(r.OffchipBytes)/float64(other.OffchipBytes)
-}
-
 // Utilization returns the fraction of core-cycles spent executing.
 func (r Run) Utilization() float64 {
 	total := r.Cycles * int64(r.Cores)

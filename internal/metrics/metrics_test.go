@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestL2MPKI(t *testing.T) {
 	r := Run{Instructions: 2000, L2Misses: 3}
@@ -20,32 +17,6 @@ func TestL1MPKI(t *testing.T) {
 	r := Run{Instructions: 1000, L1Misses: 7}
 	if r.L1MPKI() != 7 {
 		t.Fatalf("L1 MPKI = %v", r.L1MPKI())
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	base := Run{Cycles: 1000}
-	fast := Run{Cycles: 250}
-	if got := fast.SpeedupOver(base); got != 4 {
-		t.Fatalf("speedup = %v, want 4", got)
-	}
-	var zero Run
-	if zero.SpeedupOver(base) != 0 {
-		t.Fatal("zero-cycle speedup should be 0, not inf")
-	}
-}
-
-func TestTrafficReduction(t *testing.T) {
-	pdf := Run{OffchipBytes: 70}
-	ws := Run{OffchipBytes: 100}
-	if got := pdf.TrafficReductionVs(ws); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("reduction = %v, want 0.3", got)
-	}
-	if got := ws.TrafficReductionVs(pdf); got >= 0 {
-		t.Fatalf("worse traffic should be negative, got %v", got)
-	}
-	if (Run{}).TrafficReductionVs(Run{}) != 0 {
-		t.Fatal("zero/zero reduction should be 0")
 	}
 }
 

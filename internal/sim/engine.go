@@ -80,14 +80,9 @@ type Engine struct {
 	rollbacks      int64
 	rolledBackHits int64
 
-	// CaptureOrder, when set before Run, records the completion order for
-	// schedule-validity checks in tests.
-	CaptureOrder bool
-	Order        []dag.NodeID
-
 	// CaptureTimeline, when set before Run, records one Span per executed
-	// task — enough to reconstruct the whole schedule as a Gantt chart
-	// (cmd/cmpsim -timeline emits it as CSV).
+	// task in completion order — enough to reconstruct the whole schedule
+	// as a Gantt chart (cmd/cmpsim -timeline emits it as CSV).
 	CaptureTimeline bool
 	Timeline        []Span
 }
@@ -430,9 +425,6 @@ func (e *Engine) complete(c int) {
 	e.setNext(c, e.now)
 
 	e.done++
-	if e.CaptureOrder {
-		e.Order = append(e.Order, n.ID)
-	}
 	if e.CaptureTimeline {
 		e.Timeline = append(e.Timeline, Span{Node: n.ID, Core: c, Start: cs.taskStart, End: e.now})
 	}

@@ -80,7 +80,7 @@ func TestForkJoinSpeedsUp(t *testing.T) {
 		return New(cfg, forkJoin(width, work), core.NewPDF(overheadsOf(cfg)), nil).Run()
 	}
 	r1, r4 := run(1), run(4)
-	sp := r4.SpeedupOver(r1)
+	sp := float64(r1.Cycles) / float64(r4.Cycles)
 	if sp < 3 || sp > 4.2 {
 		t.Fatalf("4-core speedup %.2f on embarrassingly parallel work, want ~4", sp)
 	}
@@ -106,9 +106,9 @@ func TestAllSchedulersProduceLegalSchedules(t *testing.T) {
 		}
 		g := randomGraph(xprng.New(seed), 5)
 		e := New(cfg, g, sched, nil)
-		e.CaptureOrder = true
+		e.CaptureTimeline = true
 		e.Run()
-		return dag.CheckSchedule(g, e.Order) == nil
+		return dag.CheckSchedule(g, completionOrder(e)) == nil
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
@@ -317,4 +317,14 @@ func TestSharedHierarchyAcrossEngines(t *testing.T) {
 	if deltaMisses > first.L2Misses/4 {
 		t.Fatalf("warm rerun missed %d times vs cold %d — hierarchy not shared", deltaMisses, first.L2Misses)
 	}
+}
+
+// completionOrder lists the nodes of a CaptureTimeline run in completion
+// order.
+func completionOrder(e *Engine) []dag.NodeID {
+	order := make([]dag.NodeID, len(e.Timeline))
+	for i, sp := range e.Timeline {
+		order[i] = sp.Node
+	}
+	return order
 }

@@ -155,9 +155,9 @@ func comparePair(t *testing.T, label string, mkGraph func(*xprng.PRNG, int) *dag
 	o := overheadsOf(cfg)
 
 	real := New(cfg, mkGraph(xprng.New(seed), depth), schedByIndex(schedIdx, o, seed), nil)
-	real.CaptureOrder = true
+	real.CaptureTimeline = true
 	ref := New(cfg, mkGraph(xprng.New(seed), depth), schedByIndex(schedIdx, o, seed), nil)
-	ref.CaptureOrder = true
+	ref.CaptureTimeline = true
 
 	drive(real, ref)
 
@@ -168,12 +168,12 @@ func comparePair(t *testing.T, label string, mkGraph func(*xprng.PRNG, int) *dag
 	if real.Now() != ref.Now() {
 		t.Fatalf("%s: clocks diverged: real %d ref %d", label, real.Now(), ref.Now())
 	}
-	if len(real.Order) != len(ref.Order) {
-		t.Fatalf("%s: completion counts diverged: real %d ref %d", label, len(real.Order), len(ref.Order))
+	if len(real.Timeline) != len(ref.Timeline) {
+		t.Fatalf("%s: completion counts diverged: real %d ref %d", label, len(real.Timeline), len(ref.Timeline))
 	}
-	for i := range real.Order {
-		if real.Order[i] != ref.Order[i] {
-			t.Fatalf("%s: completion order diverged at %d: real %v ref %v", label, i, real.Order[i], ref.Order[i])
+	for i := range real.Timeline {
+		if real.Timeline[i].Node != ref.Timeline[i].Node {
+			t.Fatalf("%s: completion order diverged at %d: real %v ref %v", label, i, real.Timeline[i].Node, ref.Timeline[i].Node)
 		}
 	}
 	if rs, fs := hierState(real.Hierarchy(), cores), hierState(ref.Hierarchy(), cores); rs != fs {

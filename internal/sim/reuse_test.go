@@ -31,14 +31,14 @@ func runInstance(t *testing.T, in *workloads.Instance, sched string) (metrics.Ru
 		WSStealProbe: cfg.WSStealProbe, WSStealXfer: cfg.WSStealXfer}
 	in.BeginRun()
 	e := New(cfg, in.Graph, core.ByName(sched, o, 3), nil)
-	e.CaptureOrder = true
+	e.CaptureTimeline = true
 	r := e.Run()
 	if err := in.Verify(); err != nil {
 		t.Fatalf("%v under %s: %v", in.Spec, sched, err)
 	}
-	order := make([]int32, len(e.Order))
-	for i, id := range e.Order {
-		order[i] = int32(id)
+	order := make([]int32, len(e.Timeline))
+	for i, sp := range e.Timeline {
+		order[i] = int32(sp.Node)
 	}
 	return r, order
 }

@@ -33,9 +33,13 @@ func runOn(t *testing.T, in *Instance, cores int, schedName string) {
 		WSStealProbe: cfg.WSStealProbe, WSStealXfer: cfg.WSStealXfer}
 	sched := core.ByName(schedName, o, 11)
 	e := sim.New(cfg, in.Graph, sched, nil)
-	e.CaptureOrder = true
+	e.CaptureTimeline = true
 	r := e.Run()
-	if err := dag.CheckSchedule(in.Graph, e.Order); err != nil {
+	order := make([]dag.NodeID, len(e.Timeline))
+	for i, sp := range e.Timeline {
+		order[i] = sp.Node
+	}
+	if err := dag.CheckSchedule(in.Graph, order); err != nil {
 		t.Fatalf("%v on %s/%d: illegal schedule: %v", in.Spec, schedName, cores, err)
 	}
 	if err := in.Verify(); err != nil {

@@ -425,17 +425,3 @@ func splitRanges(lo, hi, leafSpan int) []splitRange {
 	mid := lo + (hi-lo)/2
 	return append(splitRanges(lo, mid, leafSpan), splitRanges(mid, hi, leafSpan)...)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

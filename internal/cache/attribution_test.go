@@ -9,16 +9,16 @@ import (
 func TestAttributionClassifiesTraffic(t *testing.T) {
 	h := New(smallParams(1))
 	sp := mem.NewSpace(0)
-	a := sp.Alloc("hot", 4096, 0)
-	b := sp.Alloc("cold", 4096, 0)
+	a := uint64(sp.Alloc("hot", 4096, 0)) >> 6
+	b := uint64(sp.Alloc("cold", 4096, 0)) >> 6
 	attr := h.EnableAttribution(sp)
 
 	now := int64(0)
 	for i := 0; i < 64; i++ { // 64 lines of "hot"
-		now = h.Access(0, a+mem.Addr(i*64), 8, false, now)
+		now = h.AccessLine(0, a+uint64(i), false, now)
 	}
 	for i := 0; i < 16; i++ { // 16 lines of "cold"
-		now = h.Access(0, b+mem.Addr(i*64), 8, false, now)
+		now = h.AccessLine(0, b+uint64(i), false, now)
 	}
 	rep := attr.Report()
 	if len(rep) != 2 {
@@ -36,15 +36,15 @@ func TestAttributionCountsWritebacks(t *testing.T) {
 	p := smallParams(1)
 	h := New(p)
 	sp := mem.NewSpace(0)
-	a := sp.Alloc("dirty", 64, 0)
+	a := uint64(sp.Alloc("dirty", 64, 0)) >> 6
 	attr := h.EnableAttribution(sp)
 
-	now := h.Access(0, a, 8, true, 0) // dirty the line
+	now := h.AccessLine(0, a, true, 0) // dirty the line
 	// Stream unattributed addresses through to evict it from L2.
 	nLines := 2 * int(p.L2Size) / p.LineSize
-	base := sp.Alloc("stream", uint64(nLines*64), 0)
+	base := uint64(sp.Alloc("stream", uint64(nLines*64), 0)) >> 6
 	for i := 0; i < nLines; i++ {
-		now = h.Access(0, base+mem.Addr(i*64), 8, false, now)
+		now = h.AccessLine(0, base+uint64(i), false, now)
 	}
 	var dirtyBytes int64
 	for _, e := range attr.Report() {
@@ -63,8 +63,8 @@ func TestAttributionOther(t *testing.T) {
 	sp := mem.NewSpace(0)
 	sp.Alloc("only", 64, 0)
 	attr := h.EnableAttribution(sp)
-	// An address outside any allocation.
-	h.Access(0, 1<<30, 8, false, 0)
+	// A line outside any allocation.
+	h.AccessLine(0, 1<<24, false, 0)
 	rep := attr.Report()
 	if len(rep) != 1 || rep[0].Name != "(other)" || rep[0].MissBytes != 64 {
 		t.Fatalf("other row wrong: %+v", rep)
@@ -75,11 +75,11 @@ func TestAttributionMultipleSpaces(t *testing.T) {
 	h := New(smallParams(1))
 	s0 := mem.NewSpace(0)
 	s1 := mem.NewSpace(1)
-	a := s0.Alloc("a", 64, 0)
-	b := s1.Alloc("b", 64, 0)
+	a := uint64(s0.Alloc("a", 64, 0)) >> 6
+	b := uint64(s1.Alloc("b", 64, 0)) >> 6
 	attr := h.EnableAttribution(s0, s1)
-	now := h.Access(0, a, 8, false, 0)
-	h.Access(0, b, 8, false, now)
+	now := h.AccessLine(0, a, false, 0)
+	h.AccessLine(0, b, false, now)
 	rep := attr.Report()
 	if len(rep) != 2 {
 		t.Fatalf("want two rows, got %+v", rep)

@@ -23,14 +23,14 @@ func smallParams(cores int) Params {
 
 func TestColdMissThenHit(t *testing.T) {
 	h := New(smallParams(1))
-	t0 := h.Access(0, 0x1000, 8, false, 0)
+	t0 := h.AccessLine(0, 0x40, false, 0)
 	if t0 <= 200 {
 		t.Fatalf("cold miss finished in %d cycles, should include memory latency", t0)
 	}
 	if h.L2().Stats.Misses != 1 || h.L1(0).Stats.Misses != 1 {
 		t.Fatalf("miss counters: l1=%+v l2=%+v", h.L1(0).Stats, h.L2().Stats)
 	}
-	t1 := h.Access(0, 0x1008, 8, false, t0)
+	t1 := h.AccessLine(0, 0x40, false, t0)
 	if t1 != t0+1 {
 		t.Fatalf("same-line hit took %d cycles, want 1", t1-t0)
 	}
@@ -43,13 +43,12 @@ func TestL2HitAfterL1Evict(t *testing.T) {
 	h := New(smallParams(1))
 	// Touch 5 lines mapping to the same L1 set (4-way): line 0 falls out of
 	// L1 but stays in L2 (16 sets, different sets or same set 8-way).
-	// L1 has 4 sets, so stride of 4 lines = 256B keeps the same L1 set.
-	base := mem.Addr(0)
+	// L1 has 4 sets, so a stride of 4 lines keeps the same L1 set.
 	for i := 0; i < 5; i++ {
-		h.Access(0, base+mem.Addr(i*256), 8, false, int64(i*1000))
+		h.AccessLine(0, uint64(i*4), false, int64(i*1000))
 	}
 	misses := h.L2().Stats.Misses
-	h.Access(0, base, 8, false, 100000) // line 0: L1 miss, L2 hit
+	h.AccessLine(0, 0, false, 100000) // line 0: L1 miss, L2 hit
 	if h.L2().Stats.Misses != misses {
 		t.Fatalf("expected L2 hit, got miss (l2=%+v)", h.L2().Stats)
 	}
@@ -62,43 +61,35 @@ func TestLRUWithinSet(t *testing.T) {
 	h := New(smallParams(1))
 	// Fill one L1 set (4 ways) with lines A,B,C,D; touch A again; insert E.
 	// Victim must be B (LRU), so A must still hit.
-	addrs := []mem.Addr{0, 256, 512, 768}
+	tags := []uint64{0, 4, 8, 12}
 	now := int64(0)
-	for _, a := range addrs {
-		now = h.Access(0, a, 8, false, now)
+	for _, tag := range tags {
+		now = h.AccessLine(0, tag, false, now)
 	}
-	now = h.Access(0, addrs[0], 8, false, now) // touch A
-	now = h.Access(0, 1024, 8, false, now)     // insert E, evicts B
+	now = h.AccessLine(0, tags[0], false, now) // touch A
+	now = h.AccessLine(0, 16, false, now)      // insert E, evicts B
 	missesBefore := h.L1(0).Stats.Misses
-	now = h.Access(0, addrs[0], 8, false, now) // A should hit
+	now = h.AccessLine(0, tags[0], false, now) // A should hit
 	if h.L1(0).Stats.Misses != missesBefore {
 		t.Fatal("LRU evicted the recently-touched line")
 	}
-	h.Access(0, addrs[1], 8, false, now) // B should miss
+	h.AccessLine(0, tags[1], false, now) // B should miss
 	if h.L1(0).Stats.Misses != missesBefore+1 {
 		t.Fatal("expected B to have been the LRU victim")
 	}
 }
 
-func TestCrossLineAccessSplits(t *testing.T) {
-	h := New(smallParams(1))
-	h.Access(0, 60, 8, false, 0) // straddles lines 0 and 64
-	if got := h.L1(0).Stats.Accesses(); got != 2 {
-		t.Fatalf("straddling access performed %d line accesses, want 2", got)
-	}
-}
-
 func TestWriteInvalidatesOtherCore(t *testing.T) {
 	h := New(smallParams(2))
-	now := h.Access(0, 0, 8, false, 0) // core 0 reads
-	now = h.Access(1, 0, 8, false, now)
+	now := h.AccessLine(0, 0, false, 0) // core 0 reads
+	now = h.AccessLine(1, 0, false, now)
 	if err := h.CheckInclusion(); err != nil {
 		t.Fatal(err)
 	}
 	// Core 1 writes: core 0's copy must be invalidated.
-	now = h.Access(1, 0, 8, true, now)
+	now = h.AccessLine(1, 0, true, now)
 	missesBefore := h.L1(0).Stats.Misses
-	h.Access(0, 0, 8, false, now)
+	h.AccessLine(0, 0, false, now)
 	if h.L1(0).Stats.Misses != missesBefore+1 {
 		t.Fatal("core 0 still hit after core 1's write — no invalidation")
 	}
@@ -112,11 +103,11 @@ func TestWriteInvalidatesOtherCore(t *testing.T) {
 
 func TestUpgradeOnSharedWrite(t *testing.T) {
 	h := New(smallParams(2))
-	now := h.Access(0, 0, 8, false, 0)
-	now = h.Access(1, 0, 8, false, now)
+	now := h.AccessLine(0, 0, false, 0)
+	now = h.AccessLine(1, 0, false, now)
 	// Core 0 writes its shared copy: upgrade, not a miss.
 	missesBefore := h.L1(0).Stats.Misses
-	h.Access(0, 0, 8, true, now)
+	h.AccessLine(0, 0, true, now)
 	if h.L1(0).Stats.Misses != missesBefore {
 		t.Fatal("shared write counted as a miss")
 	}
@@ -132,11 +123,11 @@ func TestDirtyWritebackGoesOffchip(t *testing.T) {
 	p := smallParams(1)
 	h := New(p)
 	// Write a line, then stream enough lines through to evict it from L2.
-	h.Access(0, 0, 8, true, 0)
+	h.AccessLine(0, 0, true, 0)
 	now := int64(1000)
 	nLines := int(p.L2Size)/p.LineSize + int(p.L2Size)/p.LineSize/2
 	for i := 1; i <= nLines; i++ {
-		now = h.Access(0, mem.Addr(i*64), 8, false, now)
+		now = h.AccessLine(0, uint64(i), false, now)
 	}
 	if h.L2().Stats.Writebacks == 0 {
 		t.Fatal("dirty line eviction produced no writeback")
@@ -152,13 +143,13 @@ func TestInclusionBackInvalidation(t *testing.T) {
 	p := smallParams(1)
 	h := New(p)
 	// Line 0 sits in L1 and is re-touched every round so L1's LRU never
-	// evicts it. The conflicting lines (stride 1024 = L2 set 0) overflow
+	// evicts it. The conflicting lines (stride 16 lines = L2 set 0) overflow
 	// the 8-way L2 set; L2's LRU evicts line 0 (stale in L2, since L1 hits
 	// don't refresh L2), and inclusion must drop the fresh L1 copy.
-	now := h.Access(0, 0, 8, false, 0)
+	now := h.AccessLine(0, 0, false, 0)
 	for i := 1; i <= 9; i++ {
-		now = h.Access(0, mem.Addr(i*1024), 8, false, now)
-		now = h.Access(0, 0, 8, false, now)
+		now = h.AccessLine(0, uint64(i*16), false, now)
+		now = h.AccessLine(0, 0, false, now)
 	}
 	if err := h.CheckInclusion(); err != nil {
 		t.Fatal(err)
@@ -246,7 +237,7 @@ func TestMaskedWaysShrinkCapacity(t *testing.T) {
 		Lat: Latencies{L1: 1, L2: 10, Mem: 100}})
 	now := int64(0)
 	for i := 0; i < 5; i++ {
-		now = h.Access(0, mem.Addr(i*1024), 8, false, now) // all map to L2 set 0
+		now = h.AccessLine(0, uint64(i*16), false, now) // all map to L2 set 0
 	}
 	if h.L2().Stats.Evictions == 0 {
 		t.Fatal("masked L2 set held more lines than its powered-on ways")
@@ -256,14 +247,14 @@ func TestMaskedWaysShrinkCapacity(t *testing.T) {
 func TestMissLatencyOrdering(t *testing.T) {
 	// L2 hit must be faster than L2 miss; L1 hit fastest.
 	h := New(smallParams(1))
-	tMiss := h.Access(0, 0, 8, false, 0)
-	tL1 := h.Access(0, 0, 8, false, tMiss) - tMiss
-	// Evict line 0 from L1 only (4-way sets, stride 256).
+	tMiss := h.AccessLine(0, 0, false, 0)
+	tL1 := h.AccessLine(0, 0, false, tMiss) - tMiss
+	// Evict line 0 from L1 only (4-way sets, stride 4 lines).
 	now := tMiss + tL1
 	for i := 1; i <= 4; i++ {
-		now = h.Access(0, mem.Addr(i*256), 8, false, now)
+		now = h.AccessLine(0, uint64(i*4), false, now)
 	}
-	tL2 := h.Access(0, 0, 8, false, now) - now
+	tL2 := h.AccessLine(0, 0, false, now) - now
 	if !(tL1 < tL2 && tL2 < tMiss) {
 		t.Fatalf("latency ordering broken: L1=%d L2=%d mem=%d", tL1, tL2, tMiss)
 	}
@@ -277,9 +268,9 @@ func TestInclusionPropertyRandomTraffic(t *testing.T) {
 		now := int64(0)
 		for i := 0; i < 2000; i++ {
 			core := rng.Intn(cores)
-			addr := mem.Addr(rng.Intn(1 << 15))
+			tag := uint64(rng.Intn(1 << 9))
 			write := rng.Intn(3) == 0
-			now = h.Access(core, addr, 8, write, now)
+			now = h.AccessLine(core, tag, write, now)
 		}
 		return h.CheckInclusion() == nil
 	}, &quick.Config{MaxCount: 30}); err != nil {
@@ -306,11 +297,10 @@ func TestHintNeverChangesResults(t *testing.T) {
 			}
 		}
 		core := rng.Intn(p.Cores)
-		addr := mem.Addr(rng.Intn(1 << 14))
-		size := rng.Intn(16) + 1
+		tag := uint64(rng.Intn(1 << 8))
 		write := rng.Intn(3) == 0
-		w := want.Access(core, addr, size, write, now)
-		if g := got.Access(core, addr, size, write, now); g != w {
+		w := want.AccessLine(core, tag, write, now)
+		if g := got.AccessLine(core, tag, write, now); g != w {
 			t.Fatalf("access %d: completes at %d with scrambled hints, %d without", i, g, w)
 		}
 		now = w
@@ -338,10 +328,10 @@ func TestHintNeverChangesResults(t *testing.T) {
 func TestInvalidationCountedOncePerCause(t *testing.T) {
 	// Coherence, upgrade path: two sharers, one writes.
 	h := New(smallParams(3))
-	now := h.Access(0, 0, 8, false, 0)
-	now = h.Access(1, 0, 8, false, now)
-	now = h.Access(2, 0, 8, false, now)
-	now = h.Access(0, 0, 8, true, now) // upgrade: drops copies in cores 1 and 2
+	now := h.AccessLine(0, 0, false, 0)
+	now = h.AccessLine(1, 0, false, now)
+	now = h.AccessLine(2, 0, false, now)
+	now = h.AccessLine(0, 0, true, now) // upgrade: drops copies in cores 1 and 2
 	for c := 1; c <= 2; c++ {
 		if got := h.L1(c).Stats.Invalidations; got != 1 {
 			t.Fatalf("after upgrade, core %d invalidations = %d, want exactly 1", c, got)
@@ -352,7 +342,7 @@ func TestInvalidationCountedOncePerCause(t *testing.T) {
 	}
 
 	// Coherence, write-miss path: core 1 writes a line only core 0 holds.
-	now = h.Access(1, 0, 8, true, now)
+	now = h.AccessLine(1, 0, true, now)
 	if got := h.L1(0).Stats.Invalidations; got != 1 {
 		t.Fatalf("after write miss, core 0 invalidations = %d, want exactly 1", got)
 	}
@@ -360,12 +350,12 @@ func TestInvalidationCountedOncePerCause(t *testing.T) {
 	// Inclusion back-invalidation: core 1 holds a line; core 0 streams
 	// conflicting lines through the same L2 set until the L2 evicts it.
 	// smallParams: L2 is 16 sets x 8 ways, so 8 distinct conflicting tags
-	// (stride 16 lines = 1024 bytes) fill the set and the 8th evicts the
+	// (stride 16 lines) fill the set and the 8th evicts the
 	// LRU victim — the line core 1 still holds.
 	h = New(smallParams(2))
-	now = h.Access(1, 0, 8, false, 0)
+	now = h.AccessLine(1, 0, false, 0)
 	for i := 1; i <= 8; i++ {
-		now = h.Access(0, mem.Addr(i*1024), 8, false, now)
+		now = h.AccessLine(0, uint64(i*16), false, now)
 	}
 	if got := h.L1(1).Stats.Invalidations; got != 1 {
 		t.Fatalf("after inclusion eviction, core 1 invalidations = %d, want exactly 1", got)
@@ -410,14 +400,14 @@ func TestCountValidBySpace(t *testing.T) {
 	h := New(smallParams(1))
 	s0 := mem.NewSpace(0)
 	s1 := mem.NewSpace(1)
-	a0 := s0.Alloc("a", 1024, 0)
-	a1 := s1.Alloc("a", 1024, 0)
+	a0 := uint64(s0.Alloc("a", 1024, 0)) >> 6
+	a1 := uint64(s1.Alloc("a", 1024, 0)) >> 6
 	now := int64(0)
 	for i := 0; i < 4; i++ {
-		now = h.Access(0, a0+mem.Addr(i*64), 8, false, now)
+		now = h.AccessLine(0, a0+uint64(i), false, now)
 	}
 	for i := 0; i < 2; i++ {
-		now = h.Access(0, a1+mem.Addr(i*64), 8, false, now)
+		now = h.AccessLine(0, a1+uint64(i), false, now)
 	}
 	total, in0 := h.L2().CountValid(0)
 	_, in1 := h.L2().CountValid(1)

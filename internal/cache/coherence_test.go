@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/mem"
 	"repro/internal/xprng"
 )
 
@@ -13,19 +12,19 @@ import (
 // downgrade to shared and the L2 must absorb the dirty data.
 func TestReadAfterRemoteWriteSeesDowngrade(t *testing.T) {
 	h := New(smallParams(2))
-	now := h.Access(0, 0, 8, true, 0)
-	now = h.Access(1, 0, 8, false, now)
+	now := h.AccessLine(0, 0, true, 0)
+	now = h.AccessLine(1, 0, false, now)
 	if err := h.CheckInclusion(); err != nil {
 		t.Fatal(err)
 	}
 	// Core 0 must still HIT on a read (downgrade, not invalidation).
 	missesBefore := h.L1(0).Stats.Misses
-	now = h.Access(0, 0, 8, false, now)
+	now = h.AccessLine(0, 0, false, now)
 	if h.L1(0).Stats.Misses != missesBefore {
 		t.Fatal("read downgrade invalidated the owner's copy")
 	}
 	// But a WRITE by core 0 now needs an upgrade (line is shared).
-	h.Access(0, 0, 8, true, now)
+	h.AccessLine(0, 0, true, now)
 	if h.L1(0).Stats.Upgrades == 0 {
 		t.Fatal("write on downgraded line did not count an upgrade")
 	}
@@ -41,7 +40,7 @@ func TestWritePingPong(t *testing.T) {
 	h := New(smallParams(2))
 	now := int64(0)
 	for i := 0; i < 10; i++ {
-		now = h.Access(i%2, 0, 8, true, now)
+		now = h.AccessLine(i%2, 0, true, now)
 	}
 	inv := h.L1(0).Stats.Invalidations + h.L1(1).Stats.Invalidations
 	if inv < 8 {
@@ -57,10 +56,10 @@ func TestWritePingPong(t *testing.T) {
 // needless invalidations (and CheckInclusion stays exact).
 func TestSilentEvictionUpdatesDirectory(t *testing.T) {
 	h := New(smallParams(2))
-	now := h.Access(0, 0, 8, false, 0)
-	// Thrash core 0's L1 set 0 (4-way, stride 256) to evict line 0.
+	now := h.AccessLine(0, 0, false, 0)
+	// Thrash core 0's L1 set 0 (4-way, stride 4 lines) to evict line 0.
 	for i := 1; i <= 4; i++ {
-		now = h.Access(0, mem.Addr(i*256), 8, false, now)
+		now = h.AccessLine(0, uint64(i*4), false, now)
 	}
 	if err := h.CheckInclusion(); err != nil {
 		t.Fatal(err)
@@ -72,10 +71,10 @@ func TestSilentEvictionUpdatesDirectory(t *testing.T) {
 func TestDirtyL1VictimFoldsIntoL2(t *testing.T) {
 	p := smallParams(1)
 	h := New(p)
-	now := h.Access(0, 0, 8, true, 0) // dirty line 0 in L1
+	now := h.AccessLine(0, 0, true, 0) // dirty line 0 in L1
 	// Evict it from L1 (clean L2 copy becomes dirty via writeback).
 	for i := 1; i <= 4; i++ {
-		now = h.Access(0, mem.Addr(i*256), 8, false, now)
+		now = h.AccessLine(0, uint64(i*4), false, now)
 	}
 	if h.L1(0).Stats.Writebacks == 0 {
 		t.Fatal("dirty L1 eviction recorded no writeback")
@@ -83,7 +82,7 @@ func TestDirtyL1VictimFoldsIntoL2(t *testing.T) {
 	// Now force the L2 line out: its dirty state must reach the bus.
 	wbBefore := h.L2().Stats.Writebacks
 	for i := 1; i <= 9; i++ {
-		now = h.Access(0, mem.Addr(i*1024), 8, false, now) // L2 set 0 conflicts
+		now = h.AccessLine(0, uint64(i*16), false, now) // L2 set 0 conflicts
 	}
 	if h.L2().Stats.Writebacks == wbBefore {
 		t.Fatal("folded-dirty L2 line evicted without off-chip writeback")
@@ -101,9 +100,9 @@ func TestCoherencePropertyAllCores(t *testing.T) {
 		now := int64(0)
 		for i := 0; i < 3000; i++ {
 			core := rng.Intn(cores)
-			addr := mem.Addr(rng.Intn(512)) // 8 lines: heavy sharing
+			tag := uint64(rng.Intn(8)) // 8 lines: heavy sharing
 			write := rng.Intn(2) == 0
-			now = h.Access(core, addr, 8, write, now)
+			now = h.AccessLine(core, tag, write, now)
 		}
 		return h.CheckInclusion() == nil
 	}, &quick.Config{MaxCount: 25}); err != nil {
@@ -118,19 +117,10 @@ func TestAccessCompletionMonotonic(t *testing.T) {
 	rng := xprng.New(4)
 	now := int64(0)
 	for i := 0; i < 2000; i++ {
-		done := h.Access(0, mem.Addr(rng.Intn(1<<14)), 8, rng.Intn(4) == 0, now)
+		done := h.AccessLine(0, uint64(rng.Intn(256)), rng.Intn(4) == 0, now)
 		if done < now {
 			t.Fatalf("access completed at %d, issued at %d", done, now)
 		}
 		now = done
-	}
-}
-
-// TestZeroSizeAccessTreatedAsByte guards the size<=0 normalization.
-func TestZeroSizeAccessTreatedAsByte(t *testing.T) {
-	h := New(smallParams(1))
-	h.Access(0, 0, 0, false, 0)
-	if h.L1(0).Stats.Accesses() != 1 {
-		t.Fatalf("zero-size access performed %d line accesses", h.L1(0).Stats.Accesses())
 	}
 }

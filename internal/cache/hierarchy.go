@@ -51,8 +51,7 @@ type Hierarchy struct {
 	// Run-ahead state (see RunAheadHit). logs[c] holds core c's uncommitted
 	// run-ahead hits; logged and rewound are core bitmasks of non-empty logs
 	// and of cores rolled back since their last TakeRewind. evAt is the
-	// start cycle of the access in progress — its stepwise event time, which
-	// a line-crossing access keeps across all its lines.
+	// start cycle of the access in progress — its stepwise event time.
 	logs    []hitLog
 	logged  uint64
 	rewound uint64
@@ -117,44 +116,15 @@ func (h *Hierarchy) L2() *SetAssoc { return h.l2 }
 // Bus returns the off-chip bus.
 func (h *Hierarchy) Bus() *Bus { return h.bus }
 
-// Access simulates core performing a read or write of size bytes at addr,
-// issued at cycle now. It returns the cycle at which the access completes.
-// Accesses spanning multiple lines are split and serialized, as an in-order
-// core would. The common case — an access contained in one line — goes
-// straight to accessLine; the split loop lives in accessSplit so this
-// wrapper stays inlinable at the simulator's replay site (one call per
-// memory event instead of two).
-func (h *Hierarchy) Access(core int, addr mem.Addr, size int, write bool, now int64) int64 {
-	h.evAt = now
-	if size <= 0 {
-		size = 1
-	}
-	first := uint64(addr) >> h.lineShift
-	last := (uint64(addr) + uint64(size-1)) >> h.lineShift
-	if first == last {
-		return h.accessLine(core, first, write, now)
-	}
-	return h.accessSplit(core, first, last, write, now)
-}
-
-// accessSplit serializes a line-crossing access, one accessLine per line.
-func (h *Hierarchy) accessSplit(core int, first, last uint64, write bool, now int64) int64 {
-	t := now
-	for tag := first; tag <= last; tag++ {
-		t = h.accessLine(core, tag, write, t)
-	}
-	return t
-}
-
-// LineShift returns log2 of the line size, for callers that pre-split
-// accesses into line tags (the simulator's replay loop).
+// LineShift returns log2 of the line size: an address's line tag is
+// addr >> LineShift().
 func (h *Hierarchy) LineShift() uint { return h.lineShift }
 
-// AccessLine is the single-line form of Access: the access is already known
-// to touch exactly the line with the given tag (addr >> LineShift()). This
-// thin exported wrapper stays inlinable, so the replay loop pays one call
-// per memory event where Access (which must also carry the line-split loop)
-// costs two.
+// AccessLine simulates core reading or writing the line with the given tag,
+// issued at cycle now, and returns the cycle at which the access completes.
+// Every recorded access lies within one line (see package trace), so this is
+// the only access entry point; it stays inlinable at the simulator's replay
+// site.
 func (h *Hierarchy) AccessLine(core int, tag uint64, write bool, now int64) int64 {
 	h.evAt = now
 	return h.accessLine(core, tag, write, now)

@@ -54,8 +54,8 @@ func TestRunAheadDowngradeRollsBackWritesOnly(t *testing.T) {
 	const a, b = 0x1000 >> 6, 0x2040 >> 6
 	setup := func() *Hierarchy {
 		h := New(smallParams(2))
-		h.Access(1, a<<6, 8, true, 0)
-		h.Access(1, b<<6, 8, false, 300)
+		h.AccessLine(1, a, true, 0)
+		h.AccessLine(1, b, false, 300)
 		return h
 	}
 
@@ -64,18 +64,18 @@ func TestRunAheadDowngradeRollsBackWritesOnly(t *testing.T) {
 	runAhead(t, got, 1, a, false, 601, 1)
 	runAhead(t, got, 1, a, true, 602, 2)
 	runAhead(t, got, 1, b, false, 603, 3)
-	got.Access(0, a<<6, 8, false, 601)
+	got.AccessLine(0, a, false, 601)
 	wantRewind(t, got, 1, 602, 2, 2)
 	got.Commit(1)
-	d := got.Access(1, a<<6, 8, true, 602)
-	got.Access(1, b<<6, 8, false, d)
+	d := got.AccessLine(1, a, true, 602)
+	got.AccessLine(1, b, false, d)
 
 	want := setup()
-	want.Access(1, a<<6, 8, false, 600)
-	want.Access(0, a<<6, 8, false, 601)
-	want.Access(1, a<<6, 8, false, 601)
-	d = want.Access(1, a<<6, 8, true, 602)
-	want.Access(1, b<<6, 8, false, d)
+	want.AccessLine(1, a, false, 600)
+	want.AccessLine(0, a, false, 601)
+	want.AccessLine(1, a, false, 601)
+	d = want.AccessLine(1, a, true, 602)
+	want.AccessLine(1, b, false, d)
 	sameState(t, "downgrade", got, want)
 }
 
@@ -86,8 +86,8 @@ func TestRunAheadInvalidationKeepsEarlierTie(t *testing.T) {
 	const a = 0x1000 >> 6
 	setup := func() *Hierarchy {
 		h := New(smallParams(2))
-		h.Access(0, a<<6, 8, false, 0)
-		h.Access(1, a<<6, 8, false, 300)
+		h.AccessLine(0, a, false, 0)
+		h.AccessLine(1, a, false, 300)
 		return h
 	}
 
@@ -98,15 +98,15 @@ func TestRunAheadInvalidationKeepsEarlierTie(t *testing.T) {
 	if _, ok := got.RunAheadHit(1, a, true, 601, 0); ok {
 		t.Fatal("run-ahead write to a shared line accepted")
 	}
-	got.Access(1, a<<6, 8, true, 601)
+	got.AccessLine(1, a, true, 601)
 	wantRewind(t, got, 0, 602, 2, 1)
 	got.CommitAll()
-	got.Access(0, a<<6, 8, false, 602)
+	got.AccessLine(0, a, false, 602)
 
 	want := setup()
-	want.Access(0, a<<6, 8, false, 600)
-	want.Access(0, a<<6, 8, false, 601)
-	want.Access(1, a<<6, 8, true, 601)
-	want.Access(0, a<<6, 8, false, 602)
+	want.AccessLine(0, a, false, 600)
+	want.AccessLine(0, a, false, 601)
+	want.AccessLine(1, a, true, 601)
+	want.AccessLine(0, a, false, 602)
 	sameState(t, "invalidation", got, want)
 }

@@ -119,7 +119,7 @@ func gridA3Bandwidth(quick bool) *grid.Grid {
 		cfg.BusBPC = bw
 		label := "inf"
 		if bw > 0 {
-			label = formatF(bw)
+			label = strconv.FormatFloat(bw, 'f', 3, 64)
 		}
 		cps[i] = grid.ConfigPoint{Labels: []string{label}, Config: cfg}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/machine"
+	"repro/internal/report"
 	"repro/internal/workloads"
 )
 
@@ -147,6 +148,8 @@ func parseFloat(t *testing.T, s string) float64 {
 	return sign * v / div
 }
 
+// TestFormatF pins the three-decimal float cells that t4-multiprog's rows
+// get from report.Table.AddRow.
 func TestFormatF(t *testing.T) {
 	cases := map[float64]string{
 		0:      "0.000",
@@ -155,8 +158,10 @@ func TestFormatF(t *testing.T) {
 		10.356: "10.356",
 	}
 	for in, want := range cases {
-		if got := formatF(in); got != want {
-			t.Errorf("formatF(%v) = %q, want %q", in, got, want)
+		tbl := report.New("", "v")
+		tbl.AddRow(in)
+		if got := tbl.Rows[0][0]; got != want {
+			t.Errorf("AddRow(%v) = %q, want %q", in, got, want)
 		}
 	}
 }

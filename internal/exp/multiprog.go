@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"strconv"
-
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -43,7 +41,7 @@ func runT4Multiprog(quick bool) (*Result, error) {
 	res := &Result{ID: "t4-multiprog", Tables: []*report.Table{t}}
 
 	type arm struct {
-		row  []string
+		row  []any
 		runs []metrics.Run
 	}
 	scheds := []string{"pdf", "ws"}
@@ -59,13 +57,15 @@ func runT4Multiprog(quick bool) (*Result, error) {
 		return nil, err
 	}
 	for _, a := range arms {
-		t.Rows = append(t.Rows, a.row)
+		t.AddRow(a.row...)
 		res.Runs = append(res.Runs, a.runs...)
 	}
 	return res, nil
 }
 
-func multiprogOnce(sched string, cores int, quantum int64, quick bool) ([]string, []metrics.Run, error) {
+// multiprogOnce runs one scheduler arm and returns its table row, as raw
+// cells for report.Table.AddRow, and the two programs' results.
+func multiprogOnce(sched string, cores int, quantum int64, quick bool) ([]any, []metrics.Run, error) {
 	cfg := machine.Default(cores)
 	specA := workloads.Spec{Name: "mergesort", N: sizing(1<<19, quick), Grain: 2048, Seed: Seed, SpaceID: 0}
 	specB := workloads.Spec{Name: "scan", N: sizing(1<<21, quick), Grain: 4096, Seed: Seed + 1, SpaceID: 1}
@@ -139,15 +139,7 @@ func multiprogOnce(sched string, cores int, quantum int64, quick bool) ([]string
 	InstancePool.Release(inA)
 	InstancePool.Release(inB)
 
-	row := []string{
-		sched,
-		strconv.Itoa(heldA),
-		formatF(survival),
-		formatF(preMPKI),
-		formatF(resMPKI),
-		formatF(spike),
-		strconv.FormatInt(refill, 10),
-	}
+	row := []any{sched, heldA, survival, preMPKI, resMPKI, spike, refill}
 	return row, []metrics.Run{ra, rb}, nil
 }
 
@@ -156,26 +148,4 @@ func mpkiOf(misses, instr int64) float64 {
 		return 0
 	}
 	return float64(misses) * 1000 / float64(instr)
-}
-
-func formatF(v float64) string {
-	// Mirrors report.AddRow's float formatting.
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	scaled := int64(v*1000 + 0.5)
-	s := strconv.FormatInt(scaled/1000, 10) + "." + pad3(scaled%1000)
-	if neg {
-		s = "-" + s
-	}
-	return s
-}
-
-func pad3(v int64) string {
-	s := strconv.FormatInt(v, 10)
-	for len(s) < 3 {
-		s = "0" + s
-	}
-	return s
 }

@@ -248,6 +248,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine %s: cores %d", c.Name, c.Cores)
 	case c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0:
 		return fmt.Errorf("machine %s: line size %d", c.Name, c.LineSize)
+	case c.LineSize < 8:
+		// The simulator maps each access to one line, which is exact only
+		// while no aligned element (up to 8 bytes, see package trace) can
+		// straddle two.
+		return fmt.Errorf("machine %s: line size %d is below 8 bytes, the widest traced element", c.Name, c.LineSize)
 	case c.L1Size < int64(c.L1Ways*c.LineSize):
 		return fmt.Errorf("machine %s: L1 %d too small for %d ways", c.Name, c.L1Size, c.L1Ways)
 	case c.L2Size < int64(c.L2Ways*c.LineSize):

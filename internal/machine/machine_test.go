@@ -101,6 +101,11 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	if bad2.Validate() == nil {
 		t.Error("non-pow2 line accepted")
 	}
+	narrow := Default(4)
+	narrow.LineSize = 4
+	if narrow.Validate() == nil {
+		t.Error("4-byte line accepted: an 8-byte element would straddle two lines")
+	}
 	bad3 := Default(4)
 	bad3.MemLat = 0
 	if bad3.Validate() == nil {

@@ -168,9 +168,3 @@ func (s *Space) Allocations() []Allocation {
 
 // SpaceOf reports which address space an address belongs to.
 func SpaceOf(a Addr) SpaceID { return SpaceID(uint64(a) >> spaceShift) }
-
-// LineAddr returns the address of the cache line containing a, for the given
-// power-of-two line size.
-func LineAddr(a Addr, lineSize uint64) Addr {
-	return a &^ Addr(lineSize-1)
-}

@@ -25,7 +25,7 @@ func TestAllocNoOverlapNoSharedLine(t *testing.T) {
 		if base < prevEnd {
 			t.Fatalf("allocation %d overlaps previous (base %x < prev end %x)", i, base, prevEnd)
 		}
-		if prevEnd != 0 && LineAddr(base, 64) < prevEnd {
+		if prevEnd != 0 && base&^63 < prevEnd {
 			t.Fatalf("allocation %d shares a line with previous", i)
 		}
 		prevEnd = base + Addr(uint64(i*7+1))
@@ -74,25 +74,6 @@ func TestFootprintAndAllocations(t *testing.T) {
 	allocs := s.Allocations()
 	if len(allocs) != 2 || allocs[0].Name != "keys" || allocs[1].Name != "tmp" {
 		t.Fatalf("allocations table wrong: %+v", allocs)
-	}
-}
-
-func TestLineAddr(t *testing.T) {
-	cases := []struct {
-		a    Addr
-		line uint64
-		want Addr
-	}{
-		{0, 64, 0},
-		{63, 64, 0},
-		{64, 64, 64},
-		{127, 64, 64},
-		{1000, 128, 896},
-	}
-	for _, c := range cases {
-		if got := LineAddr(c.a, c.line); got != c.want {
-			t.Errorf("LineAddr(%d,%d) = %d, want %d", c.a, c.line, got, c.want)
-		}
 	}
 }
 

@@ -65,7 +65,7 @@ func BenchmarkEngineStep(b *testing.B) {
 	})
 	b.Run("memory-heavy", func(b *testing.B) {
 		sp := mem.NewSpace(0)
-		arr := trace.NewInt64s(sp, "bench", 1<<15)
+		arr := trace.NewArray[int64](sp, "bench", 1<<15)
 		benchReplay(b, func(i int) dag.RunFunc {
 			base := (i * 509) % (1 << 14)
 			return func(r *trace.Recorder) {
@@ -79,7 +79,7 @@ func BenchmarkEngineStep(b *testing.B) {
 	})
 	b.Run("lockstep-8c", func(b *testing.B) {
 		sp := mem.NewSpace(0)
-		arr := trace.NewInt64s(sp, "bench", 512) // 4 KiB: resident in every L1
+		arr := trace.NewArray[int64](sp, "bench", 512) // 4 KiB: resident in every L1
 		benchReplay(b, func(i int) dag.RunFunc {
 			return func(r *trace.Recorder) {
 				for k := 0; k < 64; k++ {
@@ -97,7 +97,7 @@ func BenchmarkEngineStep(b *testing.B) {
 // scheduler-queue doublings, amortized over b.N tasks).
 func BenchmarkDispatchAlloc(b *testing.B) {
 	sp := mem.NewSpace(0)
-	arr := trace.NewInt64s(sp, "bench", 1<<12)
+	arr := trace.NewArray[int64](sp, "bench", 1<<12)
 	benchReplay(b, func(i int) dag.RunFunc {
 		base := (i * 131) % (1 << 11)
 		return func(r *trace.Recorder) {
@@ -115,7 +115,7 @@ func BenchmarkDispatchAlloc(b *testing.B) {
 func TestDispatchZeroAlloc(t *testing.T) {
 	cfg := testConfig(8)
 	sp := mem.NewSpace(0)
-	arr := trace.NewInt64s(sp, "zeroalloc", 1<<12)
+	arr := trace.NewArray[int64](sp, "zeroalloc", 1<<12)
 	leaf := func(i int) dag.RunFunc {
 		base := (i * 131) % (1 << 11)
 		return func(r *trace.Recorder) {

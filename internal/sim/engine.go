@@ -248,8 +248,8 @@ func (e *Engine) stop(now int64) {
 // action is a private L1 hit (Hierarchy.RunAheadHit): such a hit touches
 // only this core's L1, so it commutes with every other core's access except
 // one that invalidates or downgrades the same way, and the hierarchy rolls
-// it back at exactly those sites. Misses, upgrades and line-crossing
-// accesses end the phase; they, dispatch and complete stay in exact order.
+// it back at exactly those sites. Misses and upgrades end the phase; they,
+// dispatch and complete stay in exact order.
 // The core runs at most runAheadWindow cycles past bound: without that
 // limit, memory-bound cells with small L2s ran measurably slower (see
 // DESIGN.md).
@@ -275,14 +275,7 @@ func (e *Engine) replay(c int, bound, limit int64) {
 			done = t + int64(a.N)
 			instructions += int64(a.N)
 		} else {
-			// Pre-split the access so the common case — a read or write
-			// within one cache line — takes the inlinable single-line entry
-			// point (one call per event, not two).
-			if tag, ok := lineOf(a, shift); ok {
-				done = hier.AccessLine(c, tag, a.Kind == trace.Store, t)
-			} else {
-				done = hier.Access(c, a.Addr, int(a.N), a.Kind == trace.Store, t)
-			}
+			done = hier.AccessLine(c, uint64(a.Addr)>>shift, a.Kind == trace.Store, t)
 			instructions++
 			if hier.Rewound() != 0 {
 				bound = e.rewind(bound)
@@ -308,11 +301,10 @@ func (e *Engine) replay(c int, bound, limit int64) {
 			done += int64(a.N)
 			instructions += int64(a.N)
 		} else {
-			tag, ok := lineOf(a, shift)
-			if !ok || done >= end {
+			if done >= end {
 				break
 			}
-			hit, ok := hier.RunAheadHit(c, tag, a.Kind == trace.Store, done, ip)
+			hit, ok := hier.RunAheadHit(c, uint64(a.Addr)>>shift, a.Kind == trace.Store, done, ip)
 			if !ok {
 				break
 			}
@@ -327,18 +319,6 @@ func (e *Engine) replay(c int, bound, limit int64) {
 	cs.busy += done - e.now
 	e.instructions += instructions
 	e.setNext(c, done)
-}
-
-// lineOf returns the line tag of a memory action and whether the access
-// lies within that one line.
-func lineOf(a trace.Action, shift uint) (uint64, bool) {
-	off := uint64(a.Addr)
-	size := uint64(a.N)
-	if size == 0 {
-		size = 1 // Access's size<=0 clamp, preserved
-	}
-	first := off >> shift
-	return first, (off+size-1)>>shift == first
 }
 
 // rewind moves every core the hierarchy rolled back during the access just

@@ -118,7 +118,7 @@ func TestAllSchedulersProduceLegalSchedules(t *testing.T) {
 func randomGraph(rng *xprng.PRNG, depth int) *dag.Graph {
 	g := dag.New()
 	sp := mem.NewSpace(0)
-	arr := trace.NewInt64s(sp, "data", 4096)
+	arr := trace.NewArray[int64](sp, "data", 4096)
 	root := g.AddNode("root", nil)
 	var build func(parent *dag.Node, d int) *dag.Node
 	build = func(parent *dag.Node, d int) *dag.Node {
@@ -275,7 +275,7 @@ func TestWorkConservation(t *testing.T) {
 
 func TestInstructionAccounting(t *testing.T) {
 	sp := mem.NewSpace(0)
-	arr := trace.NewInt64s(sp, "a", 64)
+	arr := trace.NewArray[int64](sp, "a", 64)
 	g := dag.New()
 	g.AddNode("t", func(r *trace.Recorder) {
 		r.Compute(10)
@@ -298,7 +298,7 @@ func TestSharedHierarchyAcrossEngines(t *testing.T) {
 	// contents (warm L2), the core of the multiprogramming experiment.
 	cfg := testConfig(1)
 	sp := mem.NewSpace(0)
-	arr := trace.NewInt64s(sp, "a", 1024)
+	arr := trace.NewArray[int64](sp, "a", 1024)
 	mkGraph := func() *dag.Graph {
 		g := dag.New()
 		g.AddNode("touch", func(r *trace.Recorder) {

@@ -2,18 +2,17 @@ package sim
 
 // Differential testing of the optimized engine against a stepwise reference.
 //
-// RunUntil earns its speed from four semantic claims: the head of its
+// RunUntil earns its speed from three semantic claims: the head of its
 // sorted order of (time, core id) keys is the event the stepwise min-scan
 // picks, and the next key is the earliest event of every other core;
 // fusing an action run into one pop, up to that event, never reorders
-// operations on shared cache/bus state; a private L1 hit replayed ahead of
-// global order commutes with every other core's access, except one that
+// operations on shared cache/bus state; and a private L1 hit replayed ahead
+// of global order commutes with every other core's access, except one that
 // drops or downgrades the same way after it in stepwise order, and the
-// hierarchy then rolls it back and the engine rewinds the core exactly;
-// and the pre-split AccessLine path is Access exactly. The reference
-// implementation below keeps the simple invariants — one global min-scan
-// per event, one action per event, Hierarchy.Access for every memory
-// action, no sorted order, no fusion, no run-ahead — and the tests here
+// hierarchy then rolls it back and the engine rewinds the core exactly. The
+// reference implementation below keeps the simple invariants — one global
+// min-scan per event, one action per event, Hierarchy.AccessLine for every
+// memory action, no sorted order, no fusion, no run-ahead — and the tests here
 // drive both implementations over seeded-random DAGs, schedulers, core
 // counts, and quantum sizes, demanding identical cycles, instruction
 // counts, cache and bus statistics, and completion order. Each differential also asserts, through the engine's
@@ -36,8 +35,7 @@ import (
 // with the minimum next-event time (ties to the lowest core id), process
 // exactly one event, repeat. It shares dispatch/complete and the cache
 // hierarchy with the real engine — the machinery under test is only event
-// selection, action fusion, run-ahead with rollback, and the access fast
-// path.
+// selection, action fusion, and run-ahead with rollback.
 func refRunUntil(e *Engine, limit int64) {
 	for !e.Done() {
 		c := 0
@@ -64,7 +62,7 @@ func refRunUntil(e *Engine, limit int64) {
 				done = e.now + int64(a.N)
 				e.instructions += int64(a.N)
 			} else {
-				done = e.hier.Access(c, a.Addr, int(a.N), a.Kind == trace.Store, e.now)
+				done = e.hier.AccessLine(c, uint64(a.Addr)>>e.hier.LineShift(), a.Kind == trace.Store, e.now)
 				e.instructions++
 			}
 			cs.busy += done - e.now
@@ -104,7 +102,7 @@ func hierState(h *cache.Hierarchy, cores int) string {
 func memHeavyGraph(rng *xprng.PRNG, depth int) *dag.Graph {
 	g := dag.New()
 	sp := mem.NewSpace(0)
-	arr := trace.NewInt64s(sp, "shared", 1<<15)
+	arr := trace.NewArray[int64](sp, "shared", 1<<15)
 	root := g.AddNode("root", nil)
 	var build func(parent *dag.Node, d int) *dag.Node
 	build = func(parent *dag.Node, d int) *dag.Node {
@@ -329,7 +327,7 @@ func TestRunAheadRollbackTie(t *testing.T) {
 		undone     int64
 	}{{0, 63}, {1, 64}} {
 		mk := func() *dag.Graph {
-			arr := trace.NewInt64s(mem.NewSpace(0), "line", 8)
+			arr := trace.NewArray[int64](mem.NewSpace(0), "line", 8)
 			g := dag.New()
 			root := g.AddNode("root", nil)
 			join := g.AddNode("join", nil)

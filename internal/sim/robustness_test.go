@@ -89,7 +89,7 @@ func TestMemoryBoundTaskStallsAccounted(t *testing.T) {
 	g := dag.New()
 	g.AddNode("misser", func(r *trace.Recorder) {
 		for i := 0; i < 100; i++ {
-			r.Load(mem.Addr(1<<20+i*4096), 8) // distinct pages: all miss
+			r.Load(mem.Addr(1<<20 + i*4096)) // distinct pages: all miss
 		}
 	})
 	g.MustFreeze()

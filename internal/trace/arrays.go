@@ -1,109 +1,54 @@
 package trace
 
-import "repro/internal/mem"
+import (
+	"unsafe"
 
-// Int64s couples a real Go slice with its simulated base address so workload
+	"repro/internal/mem"
+)
+
+// Array couples a real Go slice with its simulated base address so workload
 // code can compute on live data while recording the corresponding simulated
-// references. All element accesses are 8 bytes.
-type Int64s struct {
+// references. Elements are 4 or 8 bytes and every base is 64-byte aligned,
+// so each element is naturally aligned and one recorded access touches
+// exactly one cache line of at least 8 bytes.
+type Array[E int32 | int64 | float64] struct {
 	Base mem.Addr
-	Data []int64
+	Data []E
 }
 
-// NewInt64s allocates an n-element array named name in space s. The backing
+// NewArray allocates an n-element array named name in space s. The backing
 // slice is tracked by the space, so Space.Freeze/Reset snapshot and restore
 // its contents (the workload layer's build-once/run-many lifecycle).
-func NewInt64s(s *mem.Space, name string, n int) Int64s {
-	a := Int64s{Base: s.Alloc(name, uint64(n)*8, 64), Data: make([]int64, n)}
+func NewArray[E int32 | int64 | float64](s *mem.Space, name string, n int) Array[E] {
+	var zero E
+	a := Array[E]{Base: s.Alloc(name, uint64(n)*uint64(unsafe.Sizeof(zero)), 64), Data: make([]E, n)}
 	mem.Track(s, a.Data)
 	return a
 }
 
 // Addr returns the simulated address of element i.
-func (a Int64s) Addr(i int) mem.Addr { return a.Base + mem.Addr(i)*8 }
+func (a Array[E]) Addr(i int) mem.Addr {
+	var zero E
+	return a.Base + mem.Addr(i)*mem.Addr(unsafe.Sizeof(zero))
+}
 
 // Get reads element i, recording the load.
-func (a Int64s) Get(r *Recorder, i int) int64 {
-	r.Load(a.Addr(i), 8)
+func (a Array[E]) Get(r *Recorder, i int) E {
+	r.Load(a.Addr(i))
 	return a.Data[i]
 }
 
 // Set writes element i, recording the store.
-func (a Int64s) Set(r *Recorder, i int, v int64) {
-	r.Store(a.Addr(i), 8)
+func (a Array[E]) Set(r *Recorder, i int, v E) {
+	r.Store(a.Addr(i))
 	a.Data[i] = v
 }
 
 // Slice returns a view of elements [lo, hi) sharing the same backing data
 // and address mapping.
-func (a Int64s) Slice(lo, hi int) Int64s {
-	return Int64s{Base: a.Addr(lo), Data: a.Data[lo:hi]}
+func (a Array[E]) Slice(lo, hi int) Array[E] {
+	return Array[E]{Base: a.Addr(lo), Data: a.Data[lo:hi]}
 }
 
 // Len returns the element count.
-func (a Int64s) Len() int { return len(a.Data) }
-
-// Float64s is the float64 analogue of Int64s.
-type Float64s struct {
-	Base mem.Addr
-	Data []float64
-}
-
-// NewFloat64s allocates an n-element array named name in space s, tracked
-// for Space.Freeze/Reset like NewInt64s.
-func NewFloat64s(s *mem.Space, name string, n int) Float64s {
-	a := Float64s{Base: s.Alloc(name, uint64(n)*8, 64), Data: make([]float64, n)}
-	mem.Track(s, a.Data)
-	return a
-}
-
-// Addr returns the simulated address of element i.
-func (a Float64s) Addr(i int) mem.Addr { return a.Base + mem.Addr(i)*8 }
-
-// Get reads element i, recording the load.
-func (a Float64s) Get(r *Recorder, i int) float64 {
-	r.Load(a.Addr(i), 8)
-	return a.Data[i]
-}
-
-// Set writes element i, recording the store.
-func (a Float64s) Set(r *Recorder, i int, v float64) {
-	r.Store(a.Addr(i), 8)
-	a.Data[i] = v
-}
-
-// Len returns the element count.
-func (a Float64s) Len() int { return len(a.Data) }
-
-// Int32s is the int32 analogue (4-byte elements), used for sparse matrix
-// index arrays.
-type Int32s struct {
-	Base mem.Addr
-	Data []int32
-}
-
-// NewInt32s allocates an n-element array named name in space s, tracked
-// for Space.Freeze/Reset like NewInt64s.
-func NewInt32s(s *mem.Space, name string, n int) Int32s {
-	a := Int32s{Base: s.Alloc(name, uint64(n)*4, 64), Data: make([]int32, n)}
-	mem.Track(s, a.Data)
-	return a
-}
-
-// Addr returns the simulated address of element i.
-func (a Int32s) Addr(i int) mem.Addr { return a.Base + mem.Addr(i)*4 }
-
-// Get reads element i, recording the load.
-func (a Int32s) Get(r *Recorder, i int) int32 {
-	r.Load(a.Addr(i), 4)
-	return a.Data[i]
-}
-
-// Set writes element i, recording the store.
-func (a Int32s) Set(r *Recorder, i int, v int32) {
-	r.Store(a.Addr(i), 4)
-	a.Data[i] = v
-}
-
-// Len returns the element count.
-func (a Int32s) Len() int { return len(a.Data) }
+func (a Array[E]) Len() int { return len(a.Data) }

@@ -1,5 +1,5 @@
 // Package trace defines the instruction-level action streams that tasks
-// feed to the CMP simulator.
+// feed to the CMP simulator, and the typed arrays (Array) that record them.
 //
 // A task in this reproduction is a short segment of real computation (a run
 // of merging, a block multiply, a sparse row batch). When the scheduler
@@ -10,6 +10,11 @@
 // simulated interleaving deterministic while preserving authentic reference
 // patterns — the property the paper's constructive-cache-sharing results
 // depend on.
+//
+// Every memory action is one naturally aligned 4- or 8-byte element of an
+// Array, so it lies within one cache line whenever lines are at least 8
+// bytes (machine.Config.Validate requires that). Actions therefore carry
+// only an address, and the simulator maps each to exactly one line.
 package trace
 
 import (
@@ -24,9 +29,9 @@ type Kind uint8
 const (
 	// Compute models N ALU instructions, one cycle each.
 	Compute Kind = iota
-	// Load models a read of Size bytes at Addr.
+	// Load models a read of the element at Addr.
 	Load
-	// Store models a write of Size bytes at Addr.
+	// Store models a write of the element at Addr.
 	Store
 )
 
@@ -45,11 +50,11 @@ func (k Kind) String() string {
 }
 
 // Action is one simulated instruction (or, for Compute, a run of N of them).
-// Memory actions carry the accessed address and size; the simulator splits
-// accesses that straddle cache lines.
+// A memory action carries the address of the element it accesses, which
+// lies within one cache line.
 type Action struct {
 	Addr mem.Addr
-	N    uint32 // Compute: cycle count; Load/Store: access size in bytes
+	N    uint32 // Compute: cycle count; zero for Load/Store
 	Kind Kind
 }
 
@@ -100,26 +105,14 @@ func (r *Recorder) Compute(n int) {
 	r.actions = append(r.actions, Action{Kind: Compute, N: uint32(n)})
 }
 
-// Load records a read of size bytes at addr.
-func (r *Recorder) Load(addr mem.Addr, size int) {
-	r.actions = append(r.actions, Action{Kind: Load, Addr: addr, N: uint32(size)})
+// Load records a read of the element at addr.
+func (r *Recorder) Load(addr mem.Addr) {
+	r.actions = append(r.actions, Action{Kind: Load, Addr: addr})
 }
 
-// Store records a write of size bytes at addr.
-func (r *Recorder) Store(addr mem.Addr, size int) {
-	r.actions = append(r.actions, Action{Kind: Store, Addr: addr, N: uint32(size)})
-}
-
-// Len returns the number of recorded actions.
-func (r *Recorder) Len() int { return len(r.actions) }
-
-// Instructions returns the total dynamic instruction count of the stream.
-func (r *Recorder) Instructions() int64 {
-	var total int64
-	for _, a := range r.actions {
-		total += a.Instructions()
-	}
-	return total
+// Store records a write of the element at addr.
+func (r *Recorder) Store(addr mem.Addr) {
+	r.actions = append(r.actions, Action{Kind: Store, Addr: addr})
 }
 
 // Stats summarizes a recorded stream; used by workload tests to check that

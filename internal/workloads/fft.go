@@ -28,10 +28,10 @@ func buildFFT(s Spec) *Instance {
 	}
 
 	space := mem.NewSpace(mem.SpaceID(s.SpaceID))
-	re := trace.NewFloat64s(space, "re", n)
-	im := trace.NewFloat64s(space, "im", n)
-	sre := trace.NewFloat64s(space, "scratch-re", n)
-	sim := trace.NewFloat64s(space, "scratch-im", n)
+	re := trace.NewArray[float64](space, "re", n)
+	im := trace.NewArray[float64](space, "im", n)
+	sre := trace.NewArray[float64](space, "scratch-re", n)
+	sim := trace.NewArray[float64](space, "scratch-im", n)
 
 	rng := xprng.New(s.Seed)
 	for i := 0; i < n; i++ {
@@ -57,7 +57,7 @@ func buildFFT(s Spec) *Instance {
 
 // buf pairs the real and imaginary arrays of one complex buffer.
 type buf struct {
-	re, im trace.Float64s
+	re, im trace.Array[float64]
 }
 
 // fftDAG emits tasks transforming arr[off:off+n] in place (result in arr),

@@ -40,11 +40,11 @@ func buildHashJoin(s Spec) *Instance {
 	mask := int64(slots - 1)
 
 	space := mem.NewSpace(mem.SpaceID(s.SpaceID))
-	buildKeys := trace.NewInt64s(space, "buildkeys", nBuild)
-	tableKeys := trace.NewInt64s(space, "tablekeys", slots)
-	tableVals := trace.NewInt64s(space, "tablevals", slots)
-	probeKeys := trace.NewInt64s(space, "probekeys", nProbe)
-	matches := trace.NewInt64s(space, "matches", (nProbe+s.Grain-1)/s.Grain+1)
+	buildKeys := trace.NewArray[int64](space, "buildkeys", nBuild)
+	tableKeys := trace.NewArray[int64](space, "tablekeys", slots)
+	tableVals := trace.NewArray[int64](space, "tablevals", slots)
+	probeKeys := trace.NewArray[int64](space, "probekeys", nProbe)
+	matches := trace.NewArray[int64](space, "matches", (nProbe+s.Grain-1)/s.Grain+1)
 
 	rng := xprng.New(s.Seed)
 	// Build keys: unique-ish keys spread over a dense range, shuffled.

@@ -24,8 +24,8 @@ func TestRecordedLeafSortSortsBothTargets(t *testing.T) {
 		n := int(nRaw)%200 + 1
 		rng := xprng.New(seed)
 		sp := mem.NewSpace(0)
-		data := trace.NewInt64s(sp, "d", n)
-		scratch := trace.NewInt64s(sp, "s", n)
+		data := trace.NewArray[int64](sp, "d", n)
+		scratch := trace.NewArray[int64](sp, "s", n)
 		vals := randInts(rng, n, 50) // duplicates likely
 		copy(data.Data, vals)
 		var r trace.Recorder
@@ -49,8 +49,8 @@ func TestRecordedLeafSortSortsBothTargets(t *testing.T) {
 
 func TestRecordedLeafSortRecordsTraffic(t *testing.T) {
 	sp := mem.NewSpace(0)
-	data := trace.NewInt64s(sp, "d", 64)
-	scratch := trace.NewInt64s(sp, "s", 64)
+	data := trace.NewArray[int64](sp, "d", 64)
+	scratch := trace.NewArray[int64](sp, "s", 64)
 	rng := xprng.New(1)
 	copy(data.Data, randInts(rng, 64, 1000))
 	var r trace.Recorder
@@ -68,8 +68,8 @@ func TestCorankSplitsAreExactMergePrefixes(t *testing.T) {
 		na, nb := int(naRaw)%60+1, int(nbRaw)%60+1
 		rng := xprng.New(seed)
 		sp := mem.NewSpace(0)
-		a := trace.NewInt64s(sp, "a", na)
-		b := trace.NewInt64s(sp, "b", nb)
+		a := trace.NewArray[int64](sp, "a", na)
+		b := trace.NewArray[int64](sp, "b", nb)
 		av, bv := randInts(rng, na, 20), randInts(rng, nb, 20)
 		sort.Slice(av, func(i, j int) bool { return av[i] < av[j] })
 		sort.Slice(bv, func(i, j int) bool { return bv[i] < bv[j] })
@@ -118,9 +118,9 @@ func TestMergeSegmentsComposeToFullMerge(t *testing.T) {
 		segLen := int(segRaw)%17 + 1
 		rng := xprng.New(seed)
 		sp := mem.NewSpace(0)
-		a := trace.NewInt64s(sp, "a", na)
-		b := trace.NewInt64s(sp, "b", nb)
-		out := trace.NewInt64s(sp, "o", na+nb)
+		a := trace.NewArray[int64](sp, "a", na)
+		b := trace.NewArray[int64](sp, "b", nb)
+		out := trace.NewArray[int64](sp, "o", na+nb)
 		av, bv := randInts(rng, na, 15), randInts(rng, nb, 15)
 		sort.Slice(av, func(i, j int) bool { return av[i] < av[j] })
 		sort.Slice(bv, func(i, j int) bool { return bv[i] < bv[j] })
@@ -152,8 +152,8 @@ func TestParallelPartitionInvariant(t *testing.T) {
 		grain := int(grainRaw)%32 + 1
 		rng := xprng.New(seed)
 		sp := mem.NewSpace(0)
-		src := trace.NewInt64s(sp, "src", n)
-		dst := trace.NewInt64s(sp, "dst", n)
+		src := trace.NewArray[int64](sp, "src", n)
+		dst := trace.NewArray[int64](sp, "dst", n)
 		vals := randInts(rng, n, 30)
 		copy(src.Data, vals)
 		var r trace.Recorder
@@ -213,9 +213,9 @@ func TestSplitRangesCoverAndOrder(t *testing.T) {
 func TestBlockMultiplyMatchesReference(t *testing.T) {
 	const n = 8
 	sp := mem.NewSpace(0)
-	A := trace.NewFloat64s(sp, "A", n*n)
-	B := trace.NewFloat64s(sp, "B", n*n)
-	C := trace.NewFloat64s(sp, "C", n*n)
+	A := trace.NewArray[float64](sp, "A", n*n)
+	B := trace.NewArray[float64](sp, "B", n*n)
+	C := trace.NewArray[float64](sp, "C", n*n)
 	rng := xprng.New(3)
 	for i := range A.Data {
 		A.Data[i] = rng.Float64()
@@ -239,7 +239,7 @@ func TestBlockMultiplyMatchesReference(t *testing.T) {
 func TestIterativeFFTMatchesDFT(t *testing.T) {
 	const n = 64
 	sp := mem.NewSpace(0)
-	arr := buf{trace.NewFloat64s(sp, "re", n), trace.NewFloat64s(sp, "im", n)}
+	arr := buf{trace.NewArray[float64](sp, "re", n), trace.NewArray[float64](sp, "im", n)}
 	rng := xprng.New(5)
 	inRe := make([]float64, n)
 	inIm := make([]float64, n)

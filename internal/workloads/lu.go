@@ -28,7 +28,7 @@ func buildLU(s Spec) *Instance {
 	nb := n / b
 
 	space := mem.NewSpace(mem.SpaceID(s.SpaceID))
-	A := trace.NewFloat64s(space, "A", n*n)
+	A := trace.NewArray[float64](space, "A", n*n)
 	rng := xprng.New(s.Seed)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -102,7 +102,7 @@ func buildLU(s Spec) *Instance {
 
 // recordedTileLU factors the b×b tile at (d,d) in place: unblocked
 // right-looking LU, L unit-diagonal below, U on and above the diagonal.
-func recordedTileLU(r *trace.Recorder, A trace.Float64s, n, d, b int) {
+func recordedTileLU(r *trace.Recorder, A trace.Array[float64], n, d, b int) {
 	at := func(i, j int) int { return (d+i)*n + (d + j) }
 	for k := 0; k < b; k++ {
 		pivot := A.Get(r, at(k, k))
@@ -123,7 +123,7 @@ func recordedTileLU(r *trace.Recorder, A trace.Float64s, n, d, b int) {
 // recordedTRSMLower solves L(kk) X = A(k,j) for the row panel: X overwrites
 // the tile at (dr, dc), using the unit-lower triangle of the tile at
 // (dr, dr).
-func recordedTRSMLower(r *trace.Recorder, A trace.Float64s, n, dr, dc, b int) {
+func recordedTRSMLower(r *trace.Recorder, A trace.Array[float64], n, dr, dc, b int) {
 	for col := 0; col < b; col++ {
 		for i := 0; i < b; i++ {
 			x := A.Get(r, (dr+i)*n+(dc+col))
@@ -141,7 +141,7 @@ func recordedTRSMLower(r *trace.Recorder, A trace.Float64s, n, dr, dc, b int) {
 // recordedTRSMUpper solves X U(kk) = A(i,k) for the column panel: X
 // overwrites the tile at (dr, dc), using the upper triangle of the tile at
 // (dc, dc).
-func recordedTRSMUpper(r *trace.Recorder, A trace.Float64s, n, dr, dc, b int) {
+func recordedTRSMUpper(r *trace.Recorder, A trace.Array[float64], n, dr, dc, b int) {
 	for row := 0; row < b; row++ {
 		for j := 0; j < b; j++ {
 			x := A.Get(r, (dr+row)*n+(dc+j))
@@ -160,7 +160,7 @@ func recordedTRSMUpper(r *trace.Recorder, A trace.Float64s, n, dr, dc, b int) {
 
 // recordedTileGEMM applies A(i,j) -= A(i,k) * A(k,j) for b×b tiles at rows
 // di, dk and columns dk, dj.
-func recordedTileGEMM(r *trace.Recorder, A trace.Float64s, n, di, dk, dj, b int) {
+func recordedTileGEMM(r *trace.Recorder, A trace.Array[float64], n, di, dk, dj, b int) {
 	for i := 0; i < b; i++ {
 		for k := 0; k < b; k++ {
 			aik := A.Get(r, (di+i)*n+(dk+k))

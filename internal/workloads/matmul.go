@@ -26,9 +26,9 @@ func buildMatmul(s Spec) *Instance {
 		leaf = n
 	}
 	space := mem.NewSpace(mem.SpaceID(s.SpaceID))
-	A := trace.NewFloat64s(space, "A", n*n)
-	B := trace.NewFloat64s(space, "B", n*n)
-	C := trace.NewFloat64s(space, "C", n*n)
+	A := trace.NewArray[float64](space, "A", n*n)
+	B := trace.NewArray[float64](space, "B", n*n)
+	C := trace.NewArray[float64](space, "C", n*n)
 	rng := xprng.New(s.Seed)
 	for i := range A.Data {
 		A.Data[i] = rng.Float64()*2 - 1
@@ -63,7 +63,7 @@ func leafDim(grain int) int {
 
 // mmDAG emits tasks computing C[cr:cr+size, cc:cc+size] +=
 // A[ar.., ac..] × B[br.., bc..], returning the subtree exit node.
-func mmDAG(g *dag.Graph, parent *dag.Node, A, B, C trace.Float64s, n, ar, ac, br, bc, cr, cc, size, leaf int) *dag.Node {
+func mmDAG(g *dag.Graph, parent *dag.Node, A, B, C trace.Array[float64], n, ar, ac, br, bc, cr, cc, size, leaf int) *dag.Node {
 	if size <= leaf {
 		t := g.AddNode(fmt.Sprintf("mm%d@%d,%d", size, cr, cc), func(r *trace.Recorder) {
 			recordedBlockMultiply(r, A, B, C, n, ar, ac, br, bc, cr, cc, size)
@@ -102,7 +102,7 @@ func mmDAG(g *dag.Graph, parent *dag.Node, A, B, C trace.Float64s, n, ar, ac, br
 // recordedBlockMultiply performs the real size×size block product with an
 // ikj loop order, recording loads of A and B, the load-modify-store of C,
 // and two arithmetic cycles per multiply-add.
-func recordedBlockMultiply(r *trace.Recorder, A, B, C trace.Float64s, n, ar, ac, br, bc, cr, cc, size int) {
+func recordedBlockMultiply(r *trace.Recorder, A, B, C trace.Array[float64], n, ar, ac, br, bc, cr, cc, size int) {
 	for i := 0; i < size; i++ {
 		for k := 0; k < size; k++ {
 			aik := A.Get(r, (ar+i)*n+(ac+k))

@@ -30,8 +30,8 @@ import (
 // measures.
 func buildMergesort(s Spec, coarse bool) *Instance {
 	space := mem.NewSpace(mem.SpaceID(s.SpaceID))
-	a := trace.NewInt64s(space, "keys", s.N)
-	b := trace.NewInt64s(space, "temp", s.N)
+	a := trace.NewArray[int64](space, "keys", s.N)
+	b := trace.NewArray[int64](space, "temp", s.N)
 	rng := xprng.New(s.Seed)
 	initial := make([]int64, s.N)
 	for i := range initial {
@@ -64,7 +64,7 @@ func buildMergesort(s Spec, coarse bool) *Instance {
 //
 // Child order fixes the 1DF numbering: left half, right half, then merge
 // segments left to right — precisely the sequential mergesort order.
-func msortDAG(g *dag.Graph, parent *dag.Node, a, b trace.Int64s, lo, hi, grain int, coarse bool) (*dag.Node, bool) {
+func msortDAG(g *dag.Graph, parent *dag.Node, a, b trace.Array[int64], lo, hi, grain int, coarse bool) (*dag.Node, bool) {
 	n := hi - lo
 	if n <= grain {
 		leaf := g.AddNode(fmt.Sprintf("sort[%d:%d]", lo, hi), func(r *trace.Recorder) {

@@ -35,8 +35,8 @@ import (
 // divide-and-conquer representative.
 func buildQuicksort(s Spec) *Instance {
 	space := mem.NewSpace(mem.SpaceID(s.SpaceID))
-	a := trace.NewInt64s(space, "keys", s.N)
-	b := trace.NewInt64s(space, "scratch", s.N)
+	a := trace.NewArray[int64](space, "keys", s.N)
+	b := trace.NewArray[int64](space, "scratch", s.N)
 	rng := xprng.New(s.Seed)
 	initial := make([]int64, s.N)
 	for i := range initial {
@@ -46,8 +46,8 @@ func buildQuicksort(s Spec) *Instance {
 
 	// Dry-run arrays to learn the recursion shape.
 	drySpace := mem.NewSpace(0)
-	dryA := trace.NewInt64s(drySpace, "dryA", s.N)
-	dryB := trace.NewInt64s(drySpace, "dryB", s.N)
+	dryA := trace.NewArray[int64](drySpace, "dryA", s.N)
+	dryB := trace.NewArray[int64](drySpace, "dryB", s.N)
 	copy(dryA.Data, initial)
 
 	g := dag.New()
@@ -71,8 +71,8 @@ type qsortBuilder struct {
 	g          *dag.Graph
 	sink       *dag.Node
 	grain      int
-	a, b       trace.Int64s // live buffers (a = primary, result lands here)
-	dryA, dryB trace.Int64s // dry-run shadows
+	a, b       trace.Array[int64] // live buffers (a = primary, result lands here)
+	dryA, dryB trace.Array[int64] // dry-run shadows
 	throwaway  trace.Recorder
 }
 
@@ -168,7 +168,7 @@ func (q *qsortBuilder) sinkNode(label string, lo, hi int) *dag.Node {
 // with the same (src, lo, hi) by every task of one partition, so every task
 // derives the identical pivot, and the probe loads model the shared reads a
 // real implementation performs.
-func choosePivot(r *trace.Recorder, src trace.Int64s, lo, hi int) int64 {
+func choosePivot(r *trace.Recorder, src trace.Array[int64], lo, hi int) int64 {
 	va := src.Get(r, lo)
 	vb := src.Get(r, lo+(hi-lo)/2)
 	vc := src.Get(r, hi-1)
@@ -178,7 +178,7 @@ func choosePivot(r *trace.Recorder, src trace.Int64s, lo, hi int) int64 {
 
 // countBelow counts keys strictly below pivot in src[lo:hi), recording the
 // scan.
-func countBelow(r *trace.Recorder, src trace.Int64s, lo, hi int, pivot int64) int {
+func countBelow(r *trace.Recorder, src trace.Array[int64], lo, hi int, pivot int64) int {
 	count := 0
 	for i := lo; i < hi; i++ {
 		r.Compute(1)
@@ -192,7 +192,7 @@ func countBelow(r *trace.Recorder, src trace.Int64s, lo, hi int, pivot int64) in
 // scatterBlock writes src[lo:hi) into dst: keys below the pivot starting at
 // offB, the rest starting at offA, preserving block-relative order (stable
 // within the partition).
-func scatterBlock(r *trace.Recorder, src, dst trace.Int64s, lo, hi int, pivot int64, offB, offA int) {
+func scatterBlock(r *trace.Recorder, src, dst trace.Array[int64], lo, hi int, pivot int64, offB, offA int) {
 	ib, ia := offB, offA
 	for i := lo; i < hi; i++ {
 		v := src.Get(r, i)

@@ -30,9 +30,9 @@ func buildScan(s Spec) *Instance {
 	}
 
 	space := mem.NewSpace(mem.SpaceID(s.SpaceID))
-	in := trace.NewInt64s(space, "in", n)
-	out := trace.NewInt64s(space, "out", n)
-	sums := trace.NewInt64s(space, "blocksums", nblocks)
+	in := trace.NewArray[int64](space, "in", n)
+	out := trace.NewArray[int64](space, "out", n)
+	sums := trace.NewArray[int64](space, "blocksums", nblocks)
 
 	rng := xprng.New(s.Seed)
 	for i := range in.Data {
@@ -119,8 +119,8 @@ func buildHistogram(s Spec) *Instance {
 		m = 16
 	}
 	space := mem.NewSpace(mem.SpaceID(s.SpaceID))
-	keys := trace.NewInt64s(space, "keys", n)
-	buckets := trace.NewInt64s(space, "buckets", m)
+	keys := trace.NewArray[int64](space, "keys", n)
+	buckets := trace.NewArray[int64](space, "buckets", m)
 
 	rng := xprng.New(s.Seed)
 	window := int64(m / 8)

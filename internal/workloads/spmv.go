@@ -34,10 +34,10 @@ func buildSpMV(s Spec) *Instance {
 	nnz := n * spmvNnzPerRow
 
 	space := mem.NewSpace(mem.SpaceID(s.SpaceID))
-	val := trace.NewFloat64s(space, "val", nnz)
-	colidx := trace.NewInt32s(space, "colidx", nnz)
-	x0 := trace.NewFloat64s(space, "x0", n)
-	x1 := trace.NewFloat64s(space, "x1", n)
+	val := trace.NewArray[float64](space, "val", nnz)
+	colidx := trace.NewArray[int32](space, "colidx", nnz)
+	x0 := trace.NewArray[float64](space, "x0", n)
+	x1 := trace.NewArray[float64](space, "x1", n)
 
 	rng := xprng.New(s.Seed)
 	band := n / 4

@@ -248,7 +248,7 @@ func Names() []string {
 // length simulated segments). The sorted result is left in data, or in
 // scratch when intoScratch is set; a final recorded copy pass fixes the
 // parity when needed, exactly as a real implementation would.
-func recordedLeafSort(r *trace.Recorder, data, scratch trace.Int64s, intoScratch bool) {
+func recordedLeafSort(r *trace.Recorder, data, scratch trace.Array[int64], intoScratch bool) {
 	n := data.Len()
 	dst := data
 	if intoScratch {
@@ -282,7 +282,7 @@ func recordedLeafSort(r *trace.Recorder, data, scratch trace.Int64s, intoScratch
 
 // recordedMergeRun merges cur[lo:mid) and cur[mid:hi) into other[lo:hi),
 // recording every comparison's loads and every store.
-func recordedMergeRun(r *trace.Recorder, cur, other trace.Int64s, lo, mid, hi int) {
+func recordedMergeRun(r *trace.Recorder, cur, other trace.Array[int64], lo, mid, hi int) {
 	i, j := lo, mid
 	for k := lo; k < hi; k++ {
 		var v int64
@@ -313,7 +313,7 @@ func recordedMergeRun(r *trace.Recorder, cur, other trace.Int64s, lo, mid, hi in
 // corank finds the split (i, j) with i+j = k such that merging a[:i] and
 // b[:j] yields the first k outputs of merge(a, b), recording the binary
 // search's probe loads. Standard parallel-merge co-ranking.
-func corank(r *trace.Recorder, k int, a, b trace.Int64s) (int, int) {
+func corank(r *trace.Recorder, k int, a, b trace.Array[int64]) (int, int) {
 	lo := max(0, k-b.Len())
 	hi := min(k, a.Len())
 	for lo < hi {
@@ -337,7 +337,7 @@ func corank(r *trace.Recorder, k int, a, b trace.Int64s) (int, int) {
 // recordedMergeSegment merges the output range [k0, k1) of merge(a, b) into
 // out[k0:k1), co-ranking both endpoints first. This is the task body of the
 // fine-grained parallel merge.
-func recordedMergeSegment(r *trace.Recorder, a, b, out trace.Int64s, k0, k1 int) {
+func recordedMergeSegment(r *trace.Recorder, a, b, out trace.Array[int64], k0, k1 int) {
 	i0, j0 := corank(r, k0, a, b)
 	i1, j1 := corank(r, k1, a, b)
 	i, j := i0, j0

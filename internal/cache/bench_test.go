@@ -1,6 +1,12 @@
 package cache
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/trace"
+)
 
 // benchParams is a realistic mid-size geometry (32 KiB 8-way L1s, 1 MiB
 // 16-way shared L2) so the hit/miss mixes below exercise the same code
@@ -21,7 +27,8 @@ func benchParams(cores int) Params {
 // BenchmarkAccessLine pins the per-access cost of the hierarchy's single-
 // line fast path across the interesting mixes: hinted L1 hits (one
 // stream and two alternating streams in one set), L1 misses that hit L2,
-// cold off-chip misses, and a two-core coherence ping-pong.
+// cold off-chip misses, and a two-core coherence ping-pong — plus
+// runahead-hit, one hinted read hit replayed through RunAhead.
 func BenchmarkAccessLine(b *testing.B) {
 	b.Run("l1hit-read", func(b *testing.B) {
 		h := New(benchParams(1))
@@ -53,6 +60,25 @@ func BenchmarkAccessLine(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Exclusive write hits after the first round.
 			now = h.AccessLine(0, uint64(i&3), true, now)
+		}
+		sinkCycles = now
+	})
+	b.Run("runahead-hit", func(b *testing.B) {
+		h := New(benchParams(1))
+		// One full log of read hits on four resident lines in four sets,
+		// replayed and committed batch by batch: one op is one hit.
+		acts := make([]trace.Action, logCap)
+		for i := range acts {
+			acts[i] = trace.Action{Kind: trace.Load, Addr: mem.Addr(uint64(i&3) << h.LineShift())}
+		}
+		for tag := uint64(0); tag < 4; tag++ {
+			h.AccessLine(0, tag, false, 0)
+		}
+		b.ReportAllocs()
+		now := int64(0)
+		for n := 0; n < b.N; n += logCap {
+			_, now, _, _ = h.RunAhead(0, acts[:min(logCap, b.N-n)], 0, now, math.MaxInt64, math.MaxInt64)
+			h.Commit(0)
 		}
 		sinkCycles = now
 	})

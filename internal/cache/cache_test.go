@@ -381,7 +381,7 @@ func TestLRUStackProperty(t *testing.T) {
 		c := NewSetAssoc("c", int64(ways)*16*64, ways, 64, 0) // 16 sets each
 		var hits int64
 		for _, a := range trace {
-			tag := c.lineAddr(a)
+			tag := uint64(a) >> 6 // 64-byte lines
 			if i := c.lookup(tag); i >= 0 {
 				c.touch(&c.lines[i])
 				hits++

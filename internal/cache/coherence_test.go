@@ -89,6 +89,39 @@ func TestDirtyL1VictimFoldsIntoL2(t *testing.T) {
 	}
 }
 
+// TestCheckInclusionCatchesCorruption breaks each invariant the L1 fast
+// paths rely on by hand — a back-pointer naming the wrong L2 way, and an
+// exclusive copy beside another sharer — and expects CheckInclusion to
+// report it.
+func TestCheckInclusionCatchesCorruption(t *testing.T) {
+	const a, b = 0x10, 0x11
+	setup := func() *Hierarchy {
+		h := New(smallParams(2))
+		now := h.AccessLine(0, a, false, 0)
+		now = h.AccessLine(1, a, false, now)
+		h.AccessLine(0, b, true, now)
+		if err := h.CheckInclusion(); err != nil {
+			t.Fatalf("clean hierarchy: %v", err)
+		}
+		return h
+	}
+
+	h := setup()
+	l1 := h.L1(0)
+	i := l1.scan(b)
+	l1.lines[i].l2way = int32(h.l2.scan(a))
+	if h.CheckInclusion() == nil {
+		t.Error("back-pointer to the wrong L2 way passed")
+	}
+
+	h = setup()
+	l1 = h.L1(0)
+	l1.lines[l1.scan(a)].excl = true
+	if h.CheckInclusion() == nil {
+		t.Error("exclusive copy beside another sharer passed")
+	}
+}
+
 // TestCoherencePropertyAllCores drives random traffic on up to 8 cores with
 // a tiny shared region to force constant coherence activity; inclusion and
 // directory exactness must hold at every step boundary.

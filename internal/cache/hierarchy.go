@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // Latencies holds the access times of each level, in core cycles.
@@ -48,7 +49,7 @@ type Hierarchy struct {
 
 	attr *Attribution // optional traffic attribution, nil when disabled
 
-	// Run-ahead state (see RunAheadHit). logs[c] holds core c's uncommitted
+	// Run-ahead state (see RunAhead). logs[c] holds core c's uncommitted
 	// run-ahead hits; logged and rewound are core bitmasks of non-empty logs
 	// and of cores rolled back since their last TakeRewind. evAt is the
 	// start cycle of the access in progress — its stepwise event time.
@@ -130,43 +131,78 @@ func (h *Hierarchy) AccessLine(core int, tag uint64, write bool, now int64) int6
 	return h.accessLine(core, tag, write, now)
 }
 
-// RunAheadHit performs core's access to line tag at cycle at ahead of global
-// event order, provided it is a private L1 hit: a read of a resident line or
-// a write of an exclusively held one. Such a hit changes only core's own L1
-// (its LRU clock, the way's lastUse and dirty bit, Stats.Hits), so it
-// commutes with every other core's access except one that drops or
-// downgrades that same way — and those three touch sites roll it back (see
-// rollback). The hit is logged with ip, the caller's action index, which
-// TakeRewind hands back as the rewind point. It reports false and changes
-// nothing for any other access or when core's log is full.
-func (h *Hierarchy) RunAheadHit(core int, tag uint64, write bool, at int64, ip int) (int64, bool) {
+// RunAhead replays core's actions from actions[ip], the first at cycle
+// done, ahead of global event order for as long as each memory action is a
+// private L1 hit: a read of a resident line or a write of an exclusively
+// held one. Such a hit changes only core's own L1 (its LRU clock, the way's
+// lastUse and dirty bit, Stats.Hits), so it commutes with every other core's
+// access except one that drops or downgrades that same way — and those
+// three touch sites roll it back (see rollback). Each hit is logged with its
+// action index, which TakeRewind hands back as the rewind point. A Compute
+// costs its N cycles and always runs.
+//
+// It stops, in this order of checks, when the actions run out, when done
+// reaches limit, at a memory action issued at or past end, when core's log
+// is full, at an access neither hint entry holds (only hinted hits run
+// ahead: a miss then costs two compares instead of a set scan, and a
+// resident line the hint missed simply waits for its turn in exact order),
+// and at a write to a non-exclusive line (after the hint moved, as in an
+// exact-order access). It returns the index of the first action not run,
+// the cycle it would start at, and the instructions and hits run.
+//
+// The loop keeps core's L1 arrays, the LRU clock and the log length in
+// locals and writes them, the hit count and core's logged bit back once.
+func (h *Hierarchy) RunAhead(core int, actions []trace.Action, ip int, done, end, limit int64) (int, int64, int64, int64) {
 	lg := &h.logs[core]
-	if lg.n == logCap {
-		return 0, false
-	}
-	// Only hinted hits run ahead: a miss then costs two compares here
-	// instead of a set scan, and a resident line the hint missed simply
-	// waits for its turn in exact order.
 	l1 := h.l1[core]
-	i := l1.probe(tag)
-	if i < 0 {
-		return 0, false
+	keys, lines, pred, setMask := l1.keys, l1.lines, l1.pred, l1.setMask
+	shift, lat := h.lineShift, h.lat.L1
+	clock, n0 := l1.clock, lg.n
+	n := n0 // one log record per hit: the hits are n - n0
+	computed := int64(0)
+	for ; ip < len(actions) && done < limit; ip++ {
+		a := &actions[ip]
+		if a.Kind == trace.Compute {
+			done += int64(a.N)
+			computed += int64(a.N)
+			continue
+		}
+		if done >= end || uint(n) >= logCap {
+			break
+		}
+		tag := uint64(a.Addr) >> shift
+		p := &pred[tag&setMask]
+		i := int(p[0])
+		if keys[i] != tag {
+			if i = int(p[1]); keys[i] != tag {
+				break
+			}
+			p[0], p[1] = p[1], p[0]
+		}
+		ln := &lines[i]
+		write := a.Kind == trace.Store
+		if write && !ln.excl {
+			break
+		}
+		r := &lg.recs[n]
+		r.at, r.ip, r.way = done, int32(ip), int32(i)
+		r.lastUse, r.write, r.dirty = ln.lastUse, write, ln.dirty
+		n++
+		clock++
+		ln.lastUse = clock
+		if write {
+			ln.dirty = true
+		}
+		done += lat
 	}
-	ln := &l1.lines[i]
-	if write && !ln.excl {
-		return 0, false
+	hits := int64(n - n0)
+	l1.clock = clock
+	l1.Stats.Hits += hits
+	lg.n = n
+	if n > 0 {
+		h.logged |= 1 << uint(core)
 	}
-	r := &lg.recs[lg.n]
-	r.at, r.ip, r.way = at, int32(ip), int32(i)
-	r.lastUse, r.write, r.dirty = ln.lastUse, write, ln.dirty
-	lg.n++
-	h.logged |= 1 << uint(core)
-	l1.touch(ln)
-	l1.Stats.Hits++
-	if write {
-		ln.dirty = true
-	}
-	return at + h.lat.L1, true
+	return ip, done, computed + hits, hits
 }
 
 // Commit makes core's run-ahead hits final. Call it once no access that
@@ -269,7 +305,7 @@ func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int6
 		// an L1 hit for counting purposes (no fill), but pays an L2 trip.
 		l1.Stats.Hits++
 		l1.Stats.Upgrades++
-		h.invalidateOthers(core, tag)
+		h.invalidateOthersIn(core, &h.l2.lines[ln.l2way], tag)
 		ln.excl = true
 		ln.dirty = true
 		return now + h.lat.L1 + h.lat.L2
@@ -279,7 +315,6 @@ func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int6
 	l1.Stats.Misses++
 	reqAt := now + h.lat.L1 + h.lat.L2
 	done := reqAt
-	var l2ln *line
 	j := h.l2.lookup(tag)
 	if j < 0 {
 		// L2 miss: off-chip fill. The bus is held for the line transfer;
@@ -290,15 +325,15 @@ func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int6
 		// reaches the L2, not after the fill returns — otherwise queued
 		// writebacks would be stamped into the future and artificially
 		// serialize later demand fills.
-		l2ln = h.fillL2(core, tag, reqAt)
+		j = h.fillL2(core, tag, reqAt)
 	} else {
 		h.l2.Stats.Hits++
-		l2ln = &h.l2.lines[j]
-		h.l2.touch(l2ln)
+		h.l2.touch(&h.l2.lines[j])
 		// If another core holds the line dirty-exclusive, it must supply
 		// and downgrade (or surrender, on a write) its copy.
-		h.downgradeOwners(core, l2ln, tag)
+		h.downgradeOwners(core, &h.l2.lines[j], tag)
 	}
+	l2ln := &h.l2.lines[j]
 
 	if write {
 		// Take exclusive ownership: drop all other sharers.
@@ -308,7 +343,7 @@ func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int6
 		l2ln.sharers |= 1 << uint(core)
 	}
 
-	h.fillL1(core, tag, write)
+	h.fillL1(core, tag, write, j)
 	return done
 }
 
@@ -324,8 +359,8 @@ func (h *Hierarchy) offchip(now int64, tag uint64) int64 {
 // fillL2 inserts a missing line into the L2 for core's access, handling
 // inclusion back-invalidation of L1 copies and a dirty writeback of the
 // victim. now is the time the miss reached the L2 (pre-DRAM), which is when
-// the victim's writeback occupies the bus.
-func (h *Hierarchy) fillL2(core int, tag uint64, now int64) *line {
+// the victim's writeback occupies the bus. It returns the filled way.
+func (h *Hierarchy) fillL2(core int, tag uint64, now int64) int {
 	vi := h.l2.victim(tag)
 	if h.l2.keys[vi] != invalidKey {
 		h.l2.Stats.Evictions++
@@ -347,51 +382,38 @@ func (h *Hierarchy) fillL2(core int, tag uint64, now int64) *line {
 			h.offchip(now, h.l2.keys[vi])
 		}
 	}
-	ln := h.l2.install(vi, tag)
-	h.l2.touch(ln)
-	return ln
+	h.l2.touch(h.l2.install(vi, tag))
+	return vi
 }
 
-// fillL1 inserts a line into core's L1, writing a dirty victim back into
-// the (inclusive, hence guaranteed present) L2.
-func (h *Hierarchy) fillL1(core int, tag uint64, excl bool) {
+// fillL1 inserts a line into core's L1, recording l2way, the L2 way that
+// holds it. A victim leaves the directory through its own l2way: its sharer
+// bit clears and a dirty copy marks the L2 line dirty. That way still holds
+// the victim's tag by inclusion: fillL2 refills an L2 way only after
+// revoking every L1 copy of its old line.
+func (h *Hierarchy) fillL1(core int, tag uint64, excl bool, l2way int) {
 	l1 := h.l1[core]
 	vi := l1.victim(tag)
 	if l1.keys[vi] != invalidKey {
 		l1.Stats.Evictions++
-		h.dropL1Copy(core, l1.keys[vi], l1.lines[vi].dirty)
-		if l1.lines[vi].dirty {
+		v := &l1.lines[vi]
+		l2v := &h.l2.lines[v.l2way]
+		l2v.sharers &^= 1 << uint(core)
+		if v.dirty {
+			l2v.dirty = true
 			l1.Stats.Writebacks++
 		}
 	}
 	ln := l1.install(vi, tag)
 	ln.excl = excl
 	ln.dirty = excl
+	ln.l2way = int32(l2way)
 	l1.touch(ln)
 }
 
-// dropL1Copy updates the directory when core silently evicts (or writes
-// back) its copy of tag. A dirty copy marks the L2 line dirty.
-func (h *Hierarchy) dropL1Copy(core int, tag uint64, dirty bool) {
-	if j := h.l2.lookup(tag); j >= 0 {
-		l2ln := &h.l2.lines[j]
-		l2ln.sharers &^= 1 << uint(core)
-		if dirty {
-			l2ln.dirty = true
-		}
-	}
-}
-
-// invalidateOthers removes every L1 copy of tag except core's own, folding
-// dirty data into the L2 line.
-func (h *Hierarchy) invalidateOthers(core int, tag uint64) {
-	if j := h.l2.lookup(tag); j >= 0 {
-		h.invalidateOthersIn(core, &h.l2.lines[j], tag)
-	}
-}
-
-// invalidateOthersIn is invalidateOthers with the L2 line already resolved.
-// Sharers are dropped in ascending core id.
+// invalidateOthersIn removes every L1 copy of tag except core's own, l2ln
+// being tag's L2 line, folding dirty data into it. Sharers are dropped in
+// ascending core id.
 func (h *Hierarchy) invalidateOthersIn(core int, l2ln *line, tag uint64) {
 	for m := l2ln.sharers &^ (1 << uint(core)); m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
@@ -425,58 +447,72 @@ func (h *Hierarchy) revoke(c int, tag uint64, core int) (wasDirty bool) {
 // folds dirty data into the L2. On writes, invalidateOthersIn then removes
 // the copy outright. A downgrade commutes with the owner's run-ahead reads
 // of the line, so only its later run-ahead writes roll back.
+//
+// Only a line with exactly one sharer besides core can need either step.
+// Taking ownership drops every other copy, so an exclusive copy is always
+// its line's only sharer (CheckInclusion asserts it). A run-ahead write
+// needs an exclusive copy, and the downgrade that made the line shared —
+// an access no later in stepwise order than this one — already rolled back
+// every run-ahead write after it. So with two or more other sharers there
+// is nothing to downgrade and nothing to roll back.
 func (h *Hierarchy) downgradeOwners(core int, l2ln *line, tag uint64) {
-	for m := l2ln.sharers &^ (1 << uint(core)); m != 0; m &= m - 1 {
-		c := bits.TrailingZeros64(m)
-		if i := h.l1[c].scan(tag); i >= 0 {
-			if h.logged&(1<<uint(c)) != 0 {
-				h.rollback(c, i, core, true)
-			}
-			ln := &h.l1[c].lines[i]
-			if ln.excl {
-				if ln.dirty {
-					l2ln.dirty = true
-					ln.dirty = false
-				}
-				ln.excl = false
-			}
+	m := l2ln.sharers &^ (1 << uint(core))
+	if m == 0 || m&(m-1) != 0 {
+		return
+	}
+	c := bits.TrailingZeros64(m)
+	i := h.l1[c].scan(tag)
+	if i < 0 {
+		return
+	}
+	if h.logged&(1<<uint(c)) != 0 {
+		h.rollback(c, i, core, true)
+	}
+	ln := &h.l1[c].lines[i]
+	if ln.excl {
+		if ln.dirty {
+			l2ln.dirty = true
+			ln.dirty = false
 		}
+		ln.excl = false
 	}
 }
 
-// CheckInclusion verifies that every valid L1 line is present in the L2 and
-// that the directory sharer bits are exact. Used by property tests; O(cache
-// size).
+// CheckInclusion verifies that every valid L1 line is present in the L2,
+// that its l2way names the L2 way holding it, that the directory sharer
+// bits are exact, and that an exclusive L1 copy is its line's only sharer.
+// Used by property tests; O(cache size).
 func (h *Hierarchy) CheckInclusion() error {
-	type key = uint64
-	want := map[key]uint64{} // line tag -> expected sharer mask
+	want := map[uint64]uint64{} // line tag -> expected sharer mask
+	owner := map[uint64]int{}   // line tag -> core holding it exclusively
 	for c, l1 := range h.l1 {
-		var err error
-		l1.ForEachValid(func(a mem.Addr, _ bool) {
-			tag := h.l2.lineAddr(a)
-			if h.l2.lookup(tag) < 0 {
-				err = fmt.Errorf("inclusion violated: core %d holds %x absent from L2", c, a)
+		for i, tag := range l1.keys {
+			if tag == invalidKey {
+				continue
+			}
+			j := h.l2.scan(tag)
+			if j < 0 {
+				return fmt.Errorf("inclusion violated: core %d holds line %x absent from L2", c, tag)
+			}
+			if w := int(l1.lines[i].l2way); w != j {
+				return fmt.Errorf("core %d's copy of line %x points at L2 way %d, held in way %d", c, tag, w, j)
 			}
 			want[tag] |= 1 << uint(c)
-		})
-		if err != nil {
-			return err
+			if l1.lines[i].excl {
+				owner[tag] = c
+			}
 		}
 	}
-	var err error
-	h.l2.ForEachValid(func(a mem.Addr, _ bool) {
-		tag := h.l2.lineAddr(a)
-		ln := &h.l2.lines[h.l2.lookup(tag)]
-		if ln.sharers != want[tag] {
-			err = fmt.Errorf("directory wrong for %x: sharers=%b actual=%b", a, ln.sharers, want[tag])
+	for j, tag := range h.l2.keys {
+		if tag == invalidKey {
+			continue
 		}
-		delete(want, tag)
-	})
-	if err != nil {
-		return err
-	}
-	if len(want) != 0 {
-		return fmt.Errorf("%d L1 lines not found in L2 scan", len(want))
+		if s := h.l2.lines[j].sharers; s != want[tag] {
+			return fmt.Errorf("directory wrong for line %x: sharers=%b actual=%b", tag, s, want[tag])
+		}
+		if c, ok := owner[tag]; ok && want[tag] != 1<<uint(c) {
+			return fmt.Errorf("core %d holds line %x exclusively beside sharers %b", c, tag, want[tag])
+		}
 	}
 	return nil
 }

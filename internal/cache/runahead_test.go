@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // sameState fails the test unless two hierarchies agree on every line's
@@ -25,9 +29,22 @@ func sameState(t *testing.T, label string, got, want *Hierarchy) {
 	}
 }
 
+// act is the load (or, for write, the store) of line tag in h's geometry.
+func act(h *Hierarchy, tag uint64, write bool) trace.Action {
+	a := trace.Action{Kind: trace.Load, Addr: mem.Addr(tag << h.LineShift())}
+	if write {
+		a.Kind = trace.Store
+	}
+	return a
+}
+
+// runAhead runs one access as action index ip at cycle at through RunAhead
+// and fails unless it ran ahead as a hit.
 func runAhead(t *testing.T, h *Hierarchy, core int, tag uint64, write bool, at int64, ip int) {
 	t.Helper()
-	if _, ok := h.RunAheadHit(core, tag, write, at, ip); !ok {
+	acts := make([]trace.Action, ip+1)
+	acts[ip] = act(h, tag, write)
+	if next, _, _, hits := h.RunAhead(core, acts, ip, at, math.MaxInt64, math.MaxInt64); next != ip+1 || hits != 1 {
 		t.Fatalf("run-ahead hit refused: core %d tag %x write %v", core, tag, write)
 	}
 }
@@ -95,7 +112,7 @@ func TestRunAheadInvalidationKeepsEarlierTie(t *testing.T) {
 	runAhead(t, got, 0, a, false, 600, 0)
 	runAhead(t, got, 0, a, false, 601, 1)
 	runAhead(t, got, 0, a, false, 602, 2)
-	if _, ok := got.RunAheadHit(1, a, true, 601, 0); ok {
+	if ip, _, _, hits := got.RunAhead(1, []trace.Action{act(got, a, true)}, 0, 601, math.MaxInt64, math.MaxInt64); ip != 0 || hits != 0 {
 		t.Fatal("run-ahead write to a shared line accepted")
 	}
 	got.AccessLine(1, a, true, 601)
@@ -109,4 +126,118 @@ func TestRunAheadInvalidationKeepsEarlierTie(t *testing.T) {
 	want.AccessLine(1, a, true, 601)
 	want.AccessLine(0, a, false, 602)
 	sameState(t, "invalidation", got, want)
+}
+
+// TestRunAheadStops runs one action list per stop condition through
+// RunAhead and checks where it stopped, the cycle, instructions and hits it
+// returned, and — after commit — every line, clock and counter against the
+// same actions issued one by one through AccessLine. Lines 0x10 and 0x11
+// (sets 0 and 1 of the 4-set L1) start resident in core 0's L1, and 0x11
+// exclusively.
+func TestRunAheadStops(t *testing.T) {
+	const a, b = 0x10, 0x11
+	const start = 1000
+	setup := func(shared bool) *Hierarchy {
+		h := New(smallParams(2))
+		h.AccessLine(0, a, false, 0)
+		h.AccessLine(0, b, true, 300)
+		if shared {
+			h.AccessLine(1, b, false, 600)
+		}
+		return h
+	}
+	compute := func(n uint32) trace.Action { return trace.Action{Kind: trace.Compute, N: n} }
+	h := setup(false)
+	rd, wr := act(h, a, false), act(h, b, true)
+	repeat := func(x trace.Action, n int) []trace.Action {
+		out := make([]trace.Action, n)
+		for i := range out {
+			out[i] = x
+		}
+		return out
+	}
+	// Lines 0x20 and 0x30 share set 0 with a: reading both after a pushes
+	// a out of the set's two-entry hint although it stays resident.
+	unhinted := []trace.Action{rd, act(h, 0x20, false), act(h, 0x30, false)}
+
+	cases := []struct {
+		name       string
+		shared     bool
+		pre        []trace.Action // issued through AccessLine before RunAhead
+		acts       []trace.Action
+		end, limit int64
+		ip         int
+		done       int64
+		instrs     int64
+		hits       int64
+	}{
+		{name: "exhausted", acts: []trace.Action{rd, wr, rd}, end: math.MaxInt64, limit: math.MaxInt64,
+			ip: 3, done: start + 3, instrs: 3, hits: 3},
+		{name: "full-log", acts: repeat(rd, logCap+6), end: math.MaxInt64, limit: math.MaxInt64,
+			ip: logCap, done: start + logCap, instrs: logCap, hits: logCap},
+		{name: "end", acts: []trace.Action{rd, compute(4), rd, rd, compute(2)}, end: start + 6, limit: math.MaxInt64,
+			ip: 3, done: start + 6, instrs: 6, hits: 2},
+		{name: "limit", acts: []trace.Action{rd, compute(10), rd}, end: math.MaxInt64, limit: start + 5,
+			ip: 2, done: start + 11, instrs: 11, hits: 1},
+		{name: "hint-miss", pre: unhinted, acts: []trace.Action{rd, wr}, end: math.MaxInt64, limit: math.MaxInt64,
+			ip: 0, done: start, instrs: 0, hits: 0},
+		{name: "cold-miss", acts: []trace.Action{wr, act(h, 0x40, false), rd}, end: math.MaxInt64, limit: math.MaxInt64,
+			ip: 1, done: start + 1, instrs: 1, hits: 1},
+		{name: "write-shared", shared: true, acts: []trace.Action{rd, act(h, b, false), wr, rd}, end: math.MaxInt64, limit: math.MaxInt64,
+			ip: 2, done: start + 2, instrs: 2, hits: 2},
+		{name: "computes", acts: []trace.Action{compute(3), rd, compute(5), wr, wr, compute(1)}, end: math.MaxInt64, limit: math.MaxInt64,
+			ip: 6, done: start + 12, instrs: 12, hits: 3},
+	}
+	for _, tc := range cases {
+		got, want := setup(tc.shared), setup(tc.shared)
+		for i, x := range tc.pre {
+			at := int64(700 + i)
+			got.AccessLine(0, uint64(x.Addr)>>got.LineShift(), x.Kind == trace.Store, at)
+			want.AccessLine(0, uint64(x.Addr)>>want.LineShift(), x.Kind == trace.Store, at)
+		}
+		ip, done, instrs, hits := got.RunAhead(0, tc.acts, 0, start, tc.end, tc.limit)
+		if ip != tc.ip || done != tc.done || instrs != tc.instrs || hits != tc.hits {
+			t.Errorf("%s: RunAhead = ip %d, done %d, %d instrs, %d hits; want ip %d, done %d, %d instrs, %d hits",
+				tc.name, ip, done, instrs, hits, tc.ip, tc.done, tc.instrs, tc.hits)
+			continue
+		}
+		if n := got.logs[0].n; int64(n) != hits || (got.logged&1 != 0) != (hits > 0) {
+			t.Errorf("%s: log holds %d hits (logged mask %b), want %d", tc.name, n, got.logged, hits)
+		}
+		got.CommitAll()
+		at := int64(start)
+		for _, x := range tc.acts[:ip] {
+			if x.Kind == trace.Compute {
+				at += int64(x.N)
+				continue
+			}
+			at = want.AccessLine(0, uint64(x.Addr)>>want.LineShift(), x.Kind == trace.Store, at)
+		}
+		if at != done {
+			t.Errorf("%s: run-ahead reaches cycle %d, one by one %d", tc.name, done, at)
+		}
+		sameState(t, tc.name, got, want)
+	}
+}
+
+// TestRunAheadSecondHintSwapsFirst: a write to a shared line that the
+// set's hint holds in its second entry stops the run-ahead but still moves
+// that way to the front, as an exact-order access's probe does.
+func TestRunAheadSecondHintSwapsFirst(t *testing.T) {
+	const a, c = 0x10, 0x20 // both in L1 set 0
+	h := New(smallParams(2))
+	h.AccessLine(0, a, false, 0)
+	h.AccessLine(1, a, false, 300)
+	h.AccessLine(0, c, false, 600)
+	l1 := h.L1(0)
+	wayA := l1.scan(a)
+	if l1.pred[0][1] != int32(wayA) {
+		t.Fatalf("setup: hint %v, want way %d second", l1.pred[0], wayA)
+	}
+	if ip, _, _, hits := h.RunAhead(0, []trace.Action{act(h, a, true)}, 0, 1000, math.MaxInt64, math.MaxInt64); ip != 0 || hits != 0 {
+		t.Fatalf("write to a shared line ran ahead: ip %d, %d hits", ip, hits)
+	}
+	if l1.pred[0][0] != int32(wayA) {
+		t.Fatalf("hint %v, want way %d first", l1.pred[0], wayA)
+	}
 }

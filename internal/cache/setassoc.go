@@ -40,7 +40,8 @@ type line struct {
 	lastUse uint64 // LRU clock value of most recent touch
 	sharers uint64 // L2 only: bitmask of cores whose L1 holds this line
 	dirty   bool
-	excl    bool // L1 only: this core has exclusive (writable) ownership
+	excl    bool  // L1 only: this core has exclusive (writable) ownership
+	l2way   int32 // L1 only: index of the L2 way holding this line's tag
 }
 
 // SetAssoc is a set-associative cache with true-LRU replacement.
@@ -115,9 +116,6 @@ func (c *SetAssoc) LineSize() int { return 1 << c.lineShift }
 func (c *SetAssoc) Size() int64 {
 	return int64(c.numSets) * int64(c.effWays) * int64(c.LineSize())
 }
-
-// lineAddr maps a byte address to its line tag.
-func (c *SetAssoc) lineAddr(a mem.Addr) uint64 { return uint64(a) >> c.lineShift }
 
 // setOf returns the set index for a line tag.
 func (c *SetAssoc) setOf(tag uint64) int { return int(tag & c.setMask) }

@@ -245,7 +245,7 @@ func (e *Engine) stop(now int64) {
 //     exactly this order.
 //
 // Run-ahead phase. Past bound, the core keeps going while each memory
-// action is a private L1 hit (Hierarchy.RunAheadHit): such a hit touches
+// action is a private L1 hit (Hierarchy.RunAhead): such a hit touches
 // only this core's L1, so it commutes with every other core's access except
 // one that invalidates or downgrades the same way, and the hierarchy rolls
 // it back at exactly those sites. Misses and upgrades end the phase; they,
@@ -293,28 +293,9 @@ func (e *Engine) replay(c int, bound, limit int64) {
 		t = done
 	}
 
-	end := bound + runAheadWindow
-	hits := int64(0)
-	for ip < len(actions) && done < limit {
-		a := actions[ip]
-		if a.Kind == trace.Compute {
-			done += int64(a.N)
-			instructions += int64(a.N)
-		} else {
-			if done >= end {
-				break
-			}
-			hit, ok := hier.RunAheadHit(c, uint64(a.Addr)>>shift, a.Kind == trace.Store, done, ip)
-			if !ok {
-				break
-			}
-			done = hit
-			instructions++
-			hits++
-		}
-		ip++
-	}
+	ip, done, n, hits := hier.RunAhead(c, actions, ip, done, bound+runAheadWindow, limit)
 	e.runAheadHits += hits
+	instructions += n
 	cs.ip = ip
 	cs.busy += done - e.now
 	e.instructions += instructions

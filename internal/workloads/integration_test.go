@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -148,6 +149,9 @@ func TestBuildPanicsOnBadSpecs(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesCorruption: a clean run verifies; verifySorted rejects a
+// changed element, an adjacent swap and a length mismatch; an unrun
+// mergesort (its keys still in input order) fails Verify.
 func TestVerifyCatchesCorruption(t *testing.T) {
 	in := Build(smallSpec("scan"))
 	cfg := machine.Default(1)
@@ -156,19 +160,44 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	if err := in.Verify(); err != nil {
 		t.Fatalf("clean run failed verify: %v", err)
 	}
-	// Corrupt one output element; Verify must notice.
-	broken := Build(smallSpec("mergesort"))
-	sched := core.NewPDF(o)
-	sim.New(cfg, broken.Graph, sched, nil).Run()
-	// Mergesort result lives in one of its two arrays; flip a value in
-	// both to be sure.
-	for _, al := range broken.Space.Allocations() {
-		_ = al
+
+	sorted := []int64{1, 2, 3, 5, 8}
+	if err := verifySorted("ref", slices.Clone(sorted), sorted); err != nil {
+		t.Fatalf("sorted output rejected: %v", err)
 	}
-	// Direct corruption through the instance is not exposed; rebuild and
-	// tamper pre-run instead: an unrun instance must fail verification.
+	for _, got := range [][]int64{
+		{1, 2, 4, 5, 8}, // one changed element
+		{1, 3, 2, 5, 8}, // an adjacent swap
+		{1, 2, 3, 5},    // a length mismatch
+	} {
+		if verifySorted("ref", got, sorted) == nil {
+			t.Errorf("%v passed against %v", got, sorted)
+		}
+	}
+
 	unrun := Build(smallSpec("mergesort"))
 	if err := unrun.Verify(); err == nil {
 		t.Fatal("unrun mergesort passed verification")
+	}
+}
+
+// TestPooledSortsVerifyAfterReuse: a pooled mergesort or quicksort, reset by
+// Acquire and run again, still verifies against the reference its Build
+// sorted once, and the re-armed instance (keys back in input order) does
+// not.
+func TestPooledSortsVerifyAfterReuse(t *testing.T) {
+	for _, name := range []string{"mergesort", "quicksort"} {
+		p := NewPool(1 << 30)
+		spec := smallSpec(name)
+		in := p.Acquire(spec, nil)
+		runOn(t, in, 2, "pdf")
+		p.Release(in)
+		if again := p.Acquire(spec, nil); again != in {
+			t.Fatalf("%s: Acquire did not reuse the released instance", name)
+		}
+		if in.Verify() == nil {
+			t.Fatalf("%s: reset instance passed verification before its run", name)
+		}
+		runOn(t, in, 4, "ws")
 	}
 }

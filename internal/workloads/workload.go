@@ -26,7 +26,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -367,17 +366,15 @@ func recordedMergeSegment(r *trace.Recorder, a, b, out trace.Array[int64], k0, k
 	}
 }
 
-// verifySorted checks that got is a sorted permutation of want (consumed by
-// sorting a copy).
-func verifySorted(name string, got []int64, want []int64) error {
-	ref := append([]int64(nil), want...)
-	sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-	if len(got) != len(ref) {
-		return fmt.Errorf("%s: length %d, want %d", name, len(got), len(ref))
+// verifySorted checks that got equals sorted, the build-time input already
+// sorted: a sorted permutation of the input.
+func verifySorted(name string, got, sorted []int64) error {
+	if len(got) != len(sorted) {
+		return fmt.Errorf("%s: length %d, want %d", name, len(got), len(sorted))
 	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			return fmt.Errorf("%s: element %d = %d, want %d", name, i, got[i], ref[i])
+	for i := range sorted {
+		if got[i] != sorted[i] {
+			return fmt.Errorf("%s: element %d = %d, want %d", name, i, got[i], sorted[i])
 		}
 	}
 	return nil

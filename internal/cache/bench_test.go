@@ -67,10 +67,11 @@ func BenchmarkAccessLine(b *testing.B) {
 		h := New(benchParams(1))
 		// One full log of read hits on four resident lines in four sets,
 		// replayed and committed batch by batch: one op is one hit.
-		acts := make([]trace.Action, logCap)
-		for i := range acts {
-			acts[i] = trace.Action{Kind: trace.Load, Addr: mem.Addr(uint64(i&3) << h.LineShift())}
+		var r trace.Recorder
+		for i := 0; i < logCap; i++ {
+			r.Load(mem.Addr(uint64(i&3) << h.LineShift()))
 		}
+		acts := r.Actions()
 		for tag := uint64(0); tag < 4; tag++ {
 			h.AccessLine(0, tag, false, 0)
 		}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -434,6 +435,19 @@ func TestGeometryPanics(t *testing.T) {
 			f()
 		}()
 	}
+	// Geometry NewSetAssoc accepts, with 4-byte lines: New itself must
+	// refuse it, as machine.Config.Validate does, since an action's line
+	// tag (trace.Action.Line) would take in its kind bits.
+	func() {
+		defer func() {
+			if r, _ := recover().(string); !strings.Contains(r, "line size 4 is below 8 bytes") {
+				t.Errorf("4-byte lines: panic %q, want the line-size refusal", r)
+			}
+		}()
+		p := smallParams(1)
+		p.LineSize = 4
+		New(p)
+	}()
 }
 
 func TestStatsHelpers(t *testing.T) {

@@ -91,6 +91,12 @@ func New(p Params) *Hierarchy {
 	if p.Cores > 64 {
 		panic("cache: directory bitvector supports at most 64 cores")
 	}
+	if p.LineSize < 8 {
+		// machine.Config.Validate refuses such lines too; this guards the
+		// callers that build Params directly. trace.Action.Line needs a
+		// shift of at least 2, and an aligned element must not straddle.
+		panic(fmt.Sprintf("cache: line size %d is below 8 bytes, the widest traced element", p.LineSize))
+	}
 	h := &Hierarchy{
 		params: p,
 		l2:     NewSetAssoc("L2", p.L2Size, p.L2Ways, p.LineSize, p.L2MaskedWays),
@@ -161,16 +167,16 @@ func (h *Hierarchy) RunAhead(core int, actions []trace.Action, ip int, done, end
 	n := n0 // one log record per hit: the hits are n - n0
 	computed := int64(0)
 	for ; ip < len(actions) && done < limit; ip++ {
-		a := &actions[ip]
-		if a.Kind == trace.Compute {
-			done += int64(a.N)
-			computed += int64(a.N)
+		a := actions[ip]
+		if a.Kind() == trace.Compute {
+			done += a.N()
+			computed += a.N()
 			continue
 		}
 		if done >= end || uint(n) >= logCap {
 			break
 		}
-		tag := uint64(a.Addr) >> shift
+		tag := a.Line(shift)
 		p := &pred[tag&setMask]
 		i := int(p[0])
 		if keys[i] != tag {
@@ -180,7 +186,7 @@ func (h *Hierarchy) RunAhead(core int, actions []trace.Action, ip int, done, end
 			p[0], p[1] = p[1], p[0]
 		}
 		ln := &lines[i]
-		write := a.Kind == trace.Store
+		write := a.Kind() == trace.Store
 		if write && !ln.excl {
 			break
 		}

@@ -31,11 +31,20 @@ func sameState(t *testing.T, label string, got, want *Hierarchy) {
 
 // act is the load (or, for write, the store) of line tag in h's geometry.
 func act(h *Hierarchy, tag uint64, write bool) trace.Action {
-	a := trace.Action{Kind: trace.Load, Addr: mem.Addr(tag << h.LineShift())}
-	if write {
-		a.Kind = trace.Store
+	var r trace.Recorder
+	if addr := mem.Addr(tag << h.LineShift()); write {
+		r.Store(addr)
+	} else {
+		r.Load(addr)
 	}
-	return a
+	return r.Actions()[0]
+}
+
+// compute is a Compute action of n cycles.
+func compute(n int) trace.Action {
+	var r trace.Recorder
+	r.Compute(n)
+	return r.Actions()[0]
 }
 
 // runAhead runs one access as action index ip at cycle at through RunAhead
@@ -146,7 +155,6 @@ func TestRunAheadStops(t *testing.T) {
 		}
 		return h
 	}
-	compute := func(n uint32) trace.Action { return trace.Action{Kind: trace.Compute, N: n} }
 	h := setup(false)
 	rd, wr := act(h, a, false), act(h, b, true)
 	repeat := func(x trace.Action, n int) []trace.Action {
@@ -192,8 +200,8 @@ func TestRunAheadStops(t *testing.T) {
 		got, want := setup(tc.shared), setup(tc.shared)
 		for i, x := range tc.pre {
 			at := int64(700 + i)
-			got.AccessLine(0, uint64(x.Addr)>>got.LineShift(), x.Kind == trace.Store, at)
-			want.AccessLine(0, uint64(x.Addr)>>want.LineShift(), x.Kind == trace.Store, at)
+			got.AccessLine(0, x.Line(got.LineShift()), x.Kind() == trace.Store, at)
+			want.AccessLine(0, x.Line(want.LineShift()), x.Kind() == trace.Store, at)
 		}
 		ip, done, instrs, hits := got.RunAhead(0, tc.acts, 0, start, tc.end, tc.limit)
 		if ip != tc.ip || done != tc.done || instrs != tc.instrs || hits != tc.hits {
@@ -207,11 +215,11 @@ func TestRunAheadStops(t *testing.T) {
 		got.CommitAll()
 		at := int64(start)
 		for _, x := range tc.acts[:ip] {
-			if x.Kind == trace.Compute {
-				at += int64(x.N)
+			if x.Kind() == trace.Compute {
+				at += x.N()
 				continue
 			}
-			at = want.AccessLine(0, uint64(x.Addr)>>want.LineShift(), x.Kind == trace.Store, at)
+			at = want.AccessLine(0, x.Line(want.LineShift()), x.Kind() == trace.Store, at)
 		}
 		if at != done {
 			t.Errorf("%s: run-ahead reaches cycle %d, one by one %d", tc.name, done, at)

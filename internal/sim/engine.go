@@ -271,11 +271,11 @@ func (e *Engine) replay(c int, bound, limit int64) {
 	ip++
 	var done int64
 	for {
-		if a.Kind == trace.Compute {
-			done = t + int64(a.N)
-			instructions += int64(a.N)
+		if a.Kind() == trace.Compute {
+			done = t + a.N()
+			instructions += a.N()
 		} else {
-			done = hier.AccessLine(c, uint64(a.Addr)>>shift, a.Kind == trace.Store, t)
+			done = hier.AccessLine(c, a.Line(shift), a.Kind() == trace.Store, t)
 			instructions++
 			if hier.Rewound() != 0 {
 				bound = e.rewind(bound)
@@ -285,7 +285,7 @@ func (e *Engine) replay(c int, bound, limit int64) {
 			break
 		}
 		next := actions[ip]
-		if next.Kind != trace.Compute && done >= bound {
+		if next.Kind() != trace.Compute && done >= bound {
 			break
 		}
 		a = next
@@ -312,11 +312,7 @@ func (e *Engine) rewind(bound int64) int64 {
 		at, ip, undone := e.hier.TakeRewind(c)
 		cs := &e.cores[c]
 		for _, a := range cs.actions[ip:cs.ip] {
-			if a.Kind == trace.Compute {
-				e.instructions -= int64(a.N)
-			} else {
-				e.instructions--
-			}
+			e.instructions -= a.Instructions()
 		}
 		cs.ip = ip
 		cs.busy -= e.nextAt[c] - at

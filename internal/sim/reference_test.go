@@ -58,11 +58,11 @@ func refRunUntil(e *Engine, limit int64) {
 			a := cs.actions[cs.ip]
 			cs.ip++
 			var done int64
-			if a.Kind == trace.Compute {
-				done = e.now + int64(a.N)
-				e.instructions += int64(a.N)
+			if a.Kind() == trace.Compute {
+				done = e.now + a.N()
+				e.instructions += a.N()
 			} else {
-				done = e.hier.AccessLine(c, uint64(a.Addr)>>e.hier.LineShift(), a.Kind == trace.Store, e.now)
+				done = e.hier.AccessLine(c, a.Line(e.hier.LineShift()), a.Kind() == trace.Store, e.now)
 				e.instructions++
 			}
 			cs.busy += done - e.now

@@ -13,8 +13,10 @@
 //
 // Every memory action is one naturally aligned 4- or 8-byte element of an
 // Array, so it lies within one cache line whenever lines are at least 8
-// bytes (machine.Config.Validate requires that). Actions therefore carry
-// only an address, and the simulator maps each to exactly one line.
+// bytes (machine.Config.Validate and cache.New require that). Actions
+// therefore carry only an address, and the simulator maps each to exactly
+// one line. Alignment also leaves an address's two low bits zero, which is
+// where an Action keeps its Kind: one action is one 64-bit word.
 package trace
 
 import (
@@ -23,15 +25,16 @@ import (
 	"repro/internal/mem"
 )
 
-// Kind discriminates the three action types.
+// Kind discriminates the three action types. Its values are the two low
+// bits of an Action.
 type Kind uint8
 
 const (
 	// Compute models N ALU instructions, one cycle each.
 	Compute Kind = iota
-	// Load models a read of the element at Addr.
+	// Load models a read of the element at the action's address.
 	Load
-	// Store models a write of the element at Addr.
+	// Store models a write of the element at the action's address.
 	Store
 )
 
@@ -49,19 +52,31 @@ func (k Kind) String() string {
 	}
 }
 
-// Action is one simulated instruction (or, for Compute, a run of N of them).
-// A memory action carries the address of the element it accesses, which
-// lies within one cache line.
-type Action struct {
-	Addr mem.Addr
-	N    uint32 // Compute: cycle count; zero for Load/Store
-	Kind Kind
-}
+// Action is one simulated instruction (or, for Compute, a run of N of
+// them), packed into one word. The two low bits hold the Kind. Above them
+// sits a Load's or Store's element address unchanged — natural alignment
+// keeps its two low bits zero — or a Compute's cycle count shifted left by
+// two. The zero Action is a Compute of 0 cycles.
+type Action uint64
+
+// kindBits is the width of the Kind field in an Action's low bits.
+const kindBits = 2
+
+// Kind returns the action's type.
+func (a Action) Kind() Kind { return Kind(a & (1<<kindBits - 1)) }
+
+// N returns a Compute's cycle count. It is meaningless for Load and Store.
+func (a Action) N() int64 { return int64(a >> kindBits) }
+
+// Line returns the tag of the line a Load or Store touches, for lines of
+// 1<<shift bytes. shift must be at least kindBits (lines are at least 8
+// bytes), so the Kind bits fall below the tag.
+func (a Action) Line(shift uint) uint64 { return uint64(a) >> shift }
 
 // Instructions returns how many dynamic instructions the action represents.
 func (a Action) Instructions() int64 {
-	if a.Kind == Compute {
-		return int64(a.N)
+	if a.Kind() == Compute {
+		return a.N()
 	}
 	return 1
 }
@@ -98,21 +113,21 @@ func (r *Recorder) Compute(n int) {
 	if n <= 0 {
 		return
 	}
-	if last := len(r.actions) - 1; last >= 0 && r.actions[last].Kind == Compute {
-		r.actions[last].N += uint32(n)
+	if last := len(r.actions) - 1; last >= 0 && r.actions[last].Kind() == Compute {
+		r.actions[last] += Action(n) << kindBits
 		return
 	}
-	r.actions = append(r.actions, Action{Kind: Compute, N: uint32(n)})
+	r.actions = append(r.actions, Action(n)<<kindBits|Action(Compute))
 }
 
-// Load records a read of the element at addr.
+// Load records a read of the element at addr, which must be 4-byte aligned.
 func (r *Recorder) Load(addr mem.Addr) {
-	r.actions = append(r.actions, Action{Kind: Load, Addr: addr})
+	r.actions = append(r.actions, Action(addr)|Action(Load))
 }
 
-// Store records a write of the element at addr.
+// Store records a write of the element at addr, which must be 4-byte aligned.
 func (r *Recorder) Store(addr mem.Addr) {
-	r.actions = append(r.actions, Action{Kind: Store, Addr: addr})
+	r.actions = append(r.actions, Action(addr)|Action(Store))
 }
 
 // Stats summarizes a recorded stream; used by workload tests to check that
@@ -131,13 +146,13 @@ func Summarize(actions []Action) Stats {
 	s.Actions = len(actions)
 	for _, a := range actions {
 		s.Instructions += a.Instructions()
-		switch a.Kind {
+		switch a.Kind() {
 		case Load:
 			s.Loads++
 		case Store:
 			s.Stores++
 		case Compute:
-			s.ComputeCyc += int64(a.N)
+			s.ComputeCyc += a.N()
 		}
 	}
 	return s

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -17,8 +19,67 @@ func TestComputeCoalescing(t *testing.T) {
 	if len(acts) != 3 {
 		t.Fatalf("got %d actions, want 3 (coalesced): %v", len(acts), acts)
 	}
-	if acts[0].Kind != Compute || acts[0].N != 7 {
-		t.Fatalf("first action = %+v, want compute 7", acts[0])
+	if acts[0].Kind() != Compute || acts[0].N() != 7 {
+		t.Fatalf("first action = %#x, want compute 7", acts[0])
+	}
+}
+
+// TestComputeCoalescingPast32Bits: a coalesced run's cycle count is exact
+// beyond 2^32, where a 32-bit count would wrap.
+func TestComputeCoalescingPast32Bits(t *testing.T) {
+	var r Recorder
+	r.Compute(1<<32 - 1)
+	r.Compute(2)
+	for i := 0; i < 3; i++ {
+		r.Compute(3_000_000_000)
+	}
+	const want = 1<<32 + 1 + 9_000_000_000
+	acts := r.Actions()
+	if len(acts) != 1 || acts[0].Kind() != Compute || acts[0].N() != want {
+		t.Fatalf("actions %#x, want one compute of %d", acts, want)
+	}
+	if s := Summarize(acts); s.ComputeCyc != want || s.Instructions != want {
+		t.Fatalf("summary %+v, want %d compute cycles and instructions", s, want)
+	}
+}
+
+func TestActionIsOneWord(t *testing.T) {
+	if n := unsafe.Sizeof(Action(0)); n != 8 {
+		t.Fatalf("Action is %d bytes, want 8", n)
+	}
+	if a := Action(0); a.Kind() != Compute || a.N() != 0 || a.Instructions() != 0 {
+		t.Fatalf("zero Action decodes as %v of %d, want a compute of 0", a.Kind(), a.N())
+	}
+}
+
+// TestActionEncodingRoundTrip decodes the highest address any space can
+// hand out — space 255, the top 8-aligned offset of its 40-bit range —
+// and large compute counts.
+func TestActionEncodingRoundTrip(t *testing.T) {
+	top := mem.Addr(255)<<40 | (1<<40 - 8)
+	if mem.SpaceOf(top) != 255 {
+		t.Fatalf("SpaceOf(%#x) = %d, want 255", top, mem.SpaceOf(top))
+	}
+	var r Recorder
+	r.Load(top)
+	r.Compute(5)
+	r.Store(top)
+	r.Compute(1<<40 + 3)
+	acts := r.Actions()
+	for i, want := range []Kind{Load, Compute, Store, Compute} {
+		if acts[i].Kind() != want {
+			t.Fatalf("action %d (%#x) is a %v, want a %v", i, acts[i], acts[i].Kind(), want)
+		}
+	}
+	for shift := uint(3); shift <= 12; shift++ {
+		for _, i := range []int{0, 2} {
+			if got, want := acts[i].Line(shift), uint64(top)>>shift; got != want {
+				t.Fatalf("%v Line(%d) = %#x, want %#x", acts[i].Kind(), shift, got, want)
+			}
+		}
+	}
+	if acts[1].N() != 5 || acts[3].N() != 1<<40+3 {
+		t.Fatalf("compute counts %d, %d; want 5, %d", acts[1].N(), acts[3].N(), int64(1<<40+3))
 	}
 }
 
@@ -102,21 +163,32 @@ func TestInt64sAddresses(t *testing.T) {
 }
 
 // checkAligned asserts that every element address of a, directly and through
-// each of its slices, is a multiple of size.
+// each of its slices, is a multiple of size, so its two low bits — where an
+// Action keeps its Kind — are zero and its recorded load and store decode
+// back to its address and kind.
 func checkAligned[E int32 | int64 | float64](t *testing.T, a Array[E], size mem.Addr) {
 	t.Helper()
+	check := func(label string, b Array[E], i int) {
+		t.Helper()
+		addr := b.Addr(i)
+		if addr%size != 0 || addr&(1<<kindBits-1) != 0 {
+			t.Fatalf("%T %s.Addr(%d) = %#x, not %d-aligned", a, label, i, addr, size)
+		}
+		var r Recorder
+		b.Set(&r, i, b.Get(&r, i))
+		ld, st := r.Actions()[0], r.Actions()[1]
+		if ld.Kind() != Load || st.Kind() != Store || ld.Line(kindBits) != uint64(addr)>>kindBits || st.Line(kindBits) != uint64(addr)>>kindBits {
+			t.Fatalf("%T %s element %d at %#x recorded as %#x, %#x", a, label, i, addr, ld, st)
+		}
+	}
 	for lo := 0; lo < a.Len(); lo++ {
 		for hi := lo; hi <= a.Len(); hi += 7 {
 			s := a.Slice(lo, hi)
 			for i := 0; i < s.Len(); i++ {
-				if s.Addr(i)%size != 0 {
-					t.Fatalf("%T Slice(%d,%d).Addr(%d) = %#x, not %d-aligned", a, lo, hi, i, s.Addr(i), size)
-				}
+				check(fmt.Sprintf("Slice(%d,%d)", lo, hi), s, i)
 			}
 		}
-		if a.Addr(lo)%size != 0 {
-			t.Fatalf("%T Addr(%d) = %#x, not %d-aligned", a, lo, a.Addr(lo), size)
-		}
+		check("", a, lo)
 	}
 }
 

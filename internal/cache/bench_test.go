@@ -28,7 +28,7 @@ func benchParams(cores int) Params {
 // line fast path across the interesting mixes: hinted L1 hits (one
 // stream and two alternating streams in one set), L1 misses that hit L2,
 // cold off-chip misses, and a two-core coherence ping-pong — plus
-// runahead-hit, one hinted read hit replayed through RunAhead.
+// runahead-hit, one hinted read hit and its post replayed through RunAhead.
 func BenchmarkAccessLine(b *testing.B) {
 	b.Run("l1hit-read", func(b *testing.B) {
 		h := New(benchParams(1))
@@ -66,10 +66,13 @@ func BenchmarkAccessLine(b *testing.B) {
 	b.Run("runahead-hit", func(b *testing.B) {
 		h := New(benchParams(1))
 		// One full log of read hits on four resident lines in four sets,
-		// replayed and committed batch by batch: one op is one hit.
+		// each carrying trailing compute cycles in its post, as most
+		// recorded loads do, replayed and committed batch by batch: one op
+		// is one hit.
 		var r trace.Recorder
 		for i := 0; i < logCap; i++ {
 			r.Load(mem.Addr(uint64(i&3) << h.LineShift()))
+			r.Compute(1 + i&1)
 		}
 		acts := r.Actions()
 		for tag := uint64(0); tag < 4; tag++ {
@@ -78,7 +81,7 @@ func BenchmarkAccessLine(b *testing.B) {
 		b.ReportAllocs()
 		now := int64(0)
 		for n := 0; n < b.N; n += logCap {
-			_, now, _, _ = h.RunAhead(0, acts[:min(logCap, b.N-n)], 0, now, math.MaxInt64, math.MaxInt64)
+			_, now, _, _, _ = h.RunAhead(0, acts[:min(logCap, b.N-n)], 0, now, math.MaxInt64, math.MaxInt64)
 			h.Commit(0)
 		}
 		sinkCycles = now

@@ -145,7 +145,7 @@ func (h *Hierarchy) AccessLine(core int, tag uint64, write bool, now int64) int6
 // access except one that drops or downgrades that same way — and those
 // three touch sites roll it back (see rollback). Each hit is logged with its
 // action index, which TakeRewind hands back as the rewind point. A Compute
-// costs its N cycles and always runs.
+// costs its N cycles and always runs, and a hit's post runs right after it.
 //
 // It stops, in this order of checks, when the actions run out, when done
 // reaches limit, at a memory action issued at or past end, when core's log
@@ -153,24 +153,32 @@ func (h *Hierarchy) AccessLine(core int, tag uint64, write bool, now int64) int6
 // ahead: a miss then costs two compares instead of a set scan, and a
 // resident line the hint missed simply waits for its turn in exact order),
 // and at a write to a non-exclusive line (after the hint moved, as in an
-// exact-order access). It returns the index of the first action not run,
-// the cycle it would start at, and the instructions and hits run.
+// exact-order access). A hit that completes at or past limit stops it
+// too, before its post: stepwise order runs those cycles as their own
+// event at the hit's completion, so it returns the hit's own index with
+// split set, and the caller runs the post first when the core next pops.
+// It returns the index of the first action not (or, when split, not
+// wholly) run, the cycle it would start at, the instructions and hits
+// run, and split.
 //
 // The loop keeps core's L1 arrays, the LRU clock and the log length in
 // locals and writes them, the hit count and core's logged bit back once.
-func (h *Hierarchy) RunAhead(core int, actions []trace.Action, ip int, done, end, limit int64) (int, int64, int64, int64) {
+// It counts no instructions: every cycle it runs is a compute cycle (one
+// instruction) or part of a hit (lat cycles, one instruction), so they
+// follow from the cycles and hits at the end.
+func (h *Hierarchy) RunAhead(core int, actions []trace.Action, ip int, done, end, limit int64) (int, int64, int64, int64, bool) {
 	lg := &h.logs[core]
 	l1 := h.l1[core]
 	keys, lines, pred, setMask := l1.keys, l1.lines, l1.pred, l1.setMask
 	shift, lat := h.lineShift, h.lat.L1
 	clock, n0 := l1.clock, lg.n
 	n := n0 // one log record per hit: the hits are n - n0
-	computed := int64(0)
+	start := done
+	split := false
 	for ; ip < len(actions) && done < limit; ip++ {
 		a := actions[ip]
 		if a.Kind() == trace.Compute {
 			done += a.N()
-			computed += a.N()
 			continue
 		}
 		if done >= end || uint(n) >= logCap {
@@ -200,6 +208,13 @@ func (h *Hierarchy) RunAhead(core int, actions []trace.Action, ip int, done, end
 			ln.dirty = true
 		}
 		done += lat
+		// Test limit first: it almost never holds, while whether a hit
+		// has a post is data-dependent and would mispredict.
+		if done >= limit && a.Post() != 0 {
+			split = true
+			break
+		}
+		done += a.Post()
 	}
 	hits := int64(n - n0)
 	l1.clock = clock
@@ -208,7 +223,7 @@ func (h *Hierarchy) RunAhead(core int, actions []trace.Action, ip int, done, end
 	if n > 0 {
 		h.logged |= 1 << uint(core)
 	}
-	return ip, done, computed + hits, hits
+	return ip, done, done - start - hits*(lat-1), hits, split
 }
 
 // Commit makes core's run-ahead hits final. Call it once no access that
@@ -287,6 +302,13 @@ func (h *Hierarchy) rollback(c, way, core int, writesOnly bool) {
 
 // accessLine performs the coherent lookup/fill protocol for a single line,
 // identified by its tag (line address >> lineShift).
+//
+// It never inlines, so AccessLine stays a small wrapper that inlines into
+// replay under any profile. Profile-guided inlining puts accessLine's own
+// cost within a few units of the hot-callee budget (2000), and a profile
+// that let it in made AccessLine too big to inline instead.
+//
+//go:noinline
 func (h *Hierarchy) accessLine(core int, tag uint64, write bool, now int64) int64 {
 	l1 := h.l1[core]
 	// probe inlines and lookup does not, so a hinted hit costs no call; a

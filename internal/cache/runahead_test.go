@@ -30,13 +30,17 @@ func sameState(t *testing.T, label string, got, want *Hierarchy) {
 }
 
 // act is the load (or, for write, the store) of line tag in h's geometry.
-func act(h *Hierarchy, tag uint64, write bool) trace.Action {
+func act(h *Hierarchy, tag uint64, write bool) trace.Action { return actPost(h, tag, write, 0) }
+
+// actPost is act followed by post compute cycles, which fold into its word.
+func actPost(h *Hierarchy, tag uint64, write bool, post int) trace.Action {
 	var r trace.Recorder
 	if addr := mem.Addr(tag << h.LineShift()); write {
 		r.Store(addr)
 	} else {
 		r.Load(addr)
 	}
+	r.Compute(post)
 	return r.Actions()[0]
 }
 
@@ -53,7 +57,7 @@ func runAhead(t *testing.T, h *Hierarchy, core int, tag uint64, write bool, at i
 	t.Helper()
 	acts := make([]trace.Action, ip+1)
 	acts[ip] = act(h, tag, write)
-	if next, _, _, hits := h.RunAhead(core, acts, ip, at, math.MaxInt64, math.MaxInt64); next != ip+1 || hits != 1 {
+	if next, _, _, hits, _ := h.RunAhead(core, acts, ip, at, math.MaxInt64, math.MaxInt64); next != ip+1 || hits != 1 {
 		t.Fatalf("run-ahead hit refused: core %d tag %x write %v", core, tag, write)
 	}
 }
@@ -121,7 +125,7 @@ func TestRunAheadInvalidationKeepsEarlierTie(t *testing.T) {
 	runAhead(t, got, 0, a, false, 600, 0)
 	runAhead(t, got, 0, a, false, 601, 1)
 	runAhead(t, got, 0, a, false, 602, 2)
-	if ip, _, _, hits := got.RunAhead(1, []trace.Action{act(got, a, true)}, 0, 601, math.MaxInt64, math.MaxInt64); ip != 0 || hits != 0 {
+	if ip, _, _, hits, _ := got.RunAhead(1, []trace.Action{act(got, a, true)}, 0, 601, math.MaxInt64, math.MaxInt64); ip != 0 || hits != 0 {
 		t.Fatal("run-ahead write to a shared line accepted")
 	}
 	got.AccessLine(1, a, true, 601)
@@ -138,9 +142,10 @@ func TestRunAheadInvalidationKeepsEarlierTie(t *testing.T) {
 }
 
 // TestRunAheadStops runs one action list per stop condition through
-// RunAhead and checks where it stopped, the cycle, instructions and hits it
-// returned, and — after commit — every line, clock and counter against the
-// same actions issued one by one through AccessLine. Lines 0x10 and 0x11
+// RunAhead and checks where it stopped, the cycle, instructions, hits and
+// split flag it returned, and — after commit — every line, clock and
+// counter against the same actions issued one by one through AccessLine,
+// each followed by its post (a split word's access but not its post). Lines 0x10 and 0x11
 // (sets 0 and 1 of the 4-set L1) start resident in core 0's L1, and 0x11
 // exclusively.
 func TestRunAheadStops(t *testing.T) {
@@ -178,6 +183,7 @@ func TestRunAheadStops(t *testing.T) {
 		done       int64
 		instrs     int64
 		hits       int64
+		split      bool
 	}{
 		{name: "exhausted", acts: []trace.Action{rd, wr, rd}, end: math.MaxInt64, limit: math.MaxInt64,
 			ip: 3, done: start + 3, instrs: 3, hits: 3},
@@ -195,6 +201,17 @@ func TestRunAheadStops(t *testing.T) {
 			ip: 2, done: start + 2, instrs: 2, hits: 2},
 		{name: "computes", acts: []trace.Action{compute(3), rd, compute(5), wr, wr, compute(1)}, end: math.MaxInt64, limit: math.MaxInt64,
 			ip: 6, done: start + 12, instrs: 12, hits: 3},
+		{name: "posts", acts: []trace.Action{actPost(h, a, false, 4), actPost(h, b, true, 2), rd}, end: math.MaxInt64, limit: math.MaxInt64,
+			ip: 3, done: start + 9, instrs: 9, hits: 3},
+		// A post runs whenever its hit completes before limit, past end too.
+		{name: "post-past-end", acts: []trace.Action{actPost(h, a, false, 10), rd}, end: start + 5, limit: math.MaxInt64,
+			ip: 1, done: start + 11, instrs: 11, hits: 1},
+		{name: "post-past-limit", acts: []trace.Action{actPost(h, a, false, 10), rd}, end: math.MaxInt64, limit: start + 5,
+			ip: 1, done: start + 11, instrs: 11, hits: 1},
+		// The second hit completes at limit: its post is left for the
+		// caller, and RunAhead stops on its word.
+		{name: "split", acts: []trace.Action{rd, actPost(h, b, true, 10), rd}, end: math.MaxInt64, limit: start + 2,
+			ip: 1, done: start + 2, instrs: 2, hits: 2, split: true},
 	}
 	for _, tc := range cases {
 		got, want := setup(tc.shared), setup(tc.shared)
@@ -203,10 +220,10 @@ func TestRunAheadStops(t *testing.T) {
 			got.AccessLine(0, x.Line(got.LineShift()), x.Kind() == trace.Store, at)
 			want.AccessLine(0, x.Line(want.LineShift()), x.Kind() == trace.Store, at)
 		}
-		ip, done, instrs, hits := got.RunAhead(0, tc.acts, 0, start, tc.end, tc.limit)
-		if ip != tc.ip || done != tc.done || instrs != tc.instrs || hits != tc.hits {
-			t.Errorf("%s: RunAhead = ip %d, done %d, %d instrs, %d hits; want ip %d, done %d, %d instrs, %d hits",
-				tc.name, ip, done, instrs, hits, tc.ip, tc.done, tc.instrs, tc.hits)
+		ip, done, instrs, hits, split := got.RunAhead(0, tc.acts, 0, start, tc.end, tc.limit)
+		if ip != tc.ip || done != tc.done || instrs != tc.instrs || hits != tc.hits || split != tc.split {
+			t.Errorf("%s: RunAhead = ip %d, done %d, %d instrs, %d hits, split %v; want ip %d, done %d, %d instrs, %d hits, split %v",
+				tc.name, ip, done, instrs, hits, split, tc.ip, tc.done, tc.instrs, tc.hits, tc.split)
 			continue
 		}
 		if n := got.logs[0].n; int64(n) != hits || (got.logged&1 != 0) != (hits > 0) {
@@ -219,6 +236,10 @@ func TestRunAheadStops(t *testing.T) {
 				at += x.N()
 				continue
 			}
+			at = want.AccessLine(0, x.Line(want.LineShift()), x.Kind() == trace.Store, at) + x.Post()
+		}
+		if split {
+			x := tc.acts[ip]
 			at = want.AccessLine(0, x.Line(want.LineShift()), x.Kind() == trace.Store, at)
 		}
 		if at != done {
@@ -242,7 +263,7 @@ func TestRunAheadSecondHintSwapsFirst(t *testing.T) {
 	if l1.pred[0][1] != int32(wayA) {
 		t.Fatalf("setup: hint %v, want way %d second", l1.pred[0], wayA)
 	}
-	if ip, _, _, hits := h.RunAhead(0, []trace.Action{act(h, a, true)}, 0, 1000, math.MaxInt64, math.MaxInt64); ip != 0 || hits != 0 {
+	if ip, _, _, hits, _ := h.RunAhead(0, []trace.Action{act(h, a, true)}, 0, 1000, math.MaxInt64, math.MaxInt64); ip != 0 || hits != 0 {
 		t.Fatalf("write to a shared line ran ahead: ip %d, %d hits", ip, hits)
 	}
 	if l1.pred[0][0] != int32(wayA) {

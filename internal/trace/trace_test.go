@@ -9,18 +9,47 @@ import (
 	"repro/internal/mem"
 )
 
+// TestComputeCoalescing: a leading run of computes stays one standalone
+// Compute; later runs fold into the preceding memory action's post, until
+// a run outgrows maxPost and moves out, whole, into a standalone Compute
+// that later computes coalesce into. Summarize counts every post as
+// compute cycles and instructions.
 func TestComputeCoalescing(t *testing.T) {
 	var r Recorder
 	r.Compute(3)
 	r.Compute(4)
 	r.Load(100)
 	r.Compute(1)
+	r.Compute(2)
+	r.Store(200)
+	r.Compute(maxPost - 1)
+	r.Compute(1)
+	r.Compute(1)
+	r.Compute(5)
+	r.Load(300)
 	acts := r.Actions()
-	if len(acts) != 3 {
-		t.Fatalf("got %d actions, want 3 (coalesced): %v", len(acts), acts)
+	if len(acts) != 5 {
+		t.Fatalf("got %d actions, want 5 (coalesced): %#x", len(acts), acts)
 	}
 	if acts[0].Kind() != Compute || acts[0].N() != 7 {
 		t.Fatalf("first action = %#x, want compute 7", acts[0])
+	}
+	if acts[1].Kind() != Load || acts[1].Line(kindBits) != 100>>kindBits || acts[1].Post() != 3 {
+		t.Fatalf("second action = %#x, want a load of 100 with post 3", acts[1])
+	}
+	if acts[2].Kind() != Store || acts[2].Line(kindBits) != 200>>kindBits || acts[2].Post() != 0 {
+		t.Fatalf("third action = %#x, want a store of 200 whose post moved out", acts[2])
+	}
+	if acts[3].Kind() != Compute || acts[3].N() != maxPost+6 {
+		t.Fatalf("fourth action = %#x, want compute %d", acts[3], maxPost+6)
+	}
+	if acts[4].Kind() != Load || acts[4].Post() != 0 {
+		t.Fatalf("last action = %#x, want a load without post", acts[4])
+	}
+	const cycles = 7 + 3 + maxPost + 6
+	s := Summarize(acts)
+	if s.ComputeCyc != cycles || s.Instructions != cycles+3 || s.Loads != 2 || s.Stores != 1 || s.Actions != 5 {
+		t.Fatalf("summary %+v, want %d compute cycles, %d instructions", s, cycles, cycles+3)
 	}
 }
 
@@ -54,32 +83,42 @@ func TestActionIsOneWord(t *testing.T) {
 
 // TestActionEncodingRoundTrip decodes the highest address any space can
 // hand out — space 255, the top 8-aligned offset of its 40-bit range —
-// and large compute counts.
+// under the largest post, and large compute counts.
 func TestActionEncodingRoundTrip(t *testing.T) {
 	top := mem.Addr(255)<<40 | (1<<40 - 8)
 	if mem.SpaceOf(top) != 255 {
 		t.Fatalf("SpaceOf(%#x) = %d, want 255", top, mem.SpaceOf(top))
 	}
+	if top >= 1<<postShift {
+		t.Fatalf("top address %#x reaches the post bits", top)
+	}
 	var r Recorder
 	r.Load(top)
-	r.Compute(5)
+	r.Compute(maxPost)
 	r.Store(top)
+	r.Compute(5)
 	r.Compute(1<<40 + 3)
 	acts := r.Actions()
-	for i, want := range []Kind{Load, Compute, Store, Compute} {
+	if len(acts) != 3 {
+		t.Fatalf("got %d actions, want 3: %#x", len(acts), acts)
+	}
+	for i, want := range []Kind{Load, Store, Compute} {
 		if acts[i].Kind() != want {
 			t.Fatalf("action %d (%#x) is a %v, want a %v", i, acts[i], acts[i].Kind(), want)
 		}
 	}
 	for shift := uint(3); shift <= 12; shift++ {
-		for _, i := range []int{0, 2} {
+		for _, i := range []int{0, 1} {
 			if got, want := acts[i].Line(shift), uint64(top)>>shift; got != want {
 				t.Fatalf("%v Line(%d) = %#x, want %#x", acts[i].Kind(), shift, got, want)
 			}
 		}
 	}
-	if acts[1].N() != 5 || acts[3].N() != 1<<40+3 {
-		t.Fatalf("compute counts %d, %d; want 5, %d", acts[1].N(), acts[3].N(), int64(1<<40+3))
+	if acts[0].Post() != maxPost || acts[0].Instructions() != 1+maxPost {
+		t.Fatalf("load post %d (%d instructions), want %d", acts[0].Post(), acts[0].Instructions(), maxPost)
+	}
+	if acts[1].Post() != 0 || acts[2].N() != 1<<40+8 {
+		t.Fatalf("store post %d, compute %d; want 0, %d", acts[1].Post(), acts[2].N(), int64(1<<40+8))
 	}
 }
 

@@ -9,12 +9,12 @@
 //	cached -dir DIR -max-bytes 268435456              # 256 MiB LRU budget
 //
 // Clients point -cache-remote at it — one server, or a comma-separated
-// fleet the client consistent-hashes keys across (see internal/rcache's
-// fleet layer; servers never know about each other):
+// fleet across which the client places keys by rendezvous hashing (see
+// internal/rcache's fleet layer; servers never know about each other):
 //
 //	sweep  -exp all -cache ~/.repro-cache -cache-remote http://host:8344
 //	cmpsim -workload spmv -cache-remote http://host:8344
-//	sweep  -exp all -cache-remote http://a:8344,http://b:8344,http://c:8344 -cache-replicas 1
+//	sweep  -exp all -cache-remote http://a:8344,http://b:8344,http://c:8344
 //
 // The HTTP surface (see internal/rcache's Server) is GET/HEAD/PUT on
 // /cache/<version>/<key> with ETag = "<key>" and conditional GET via

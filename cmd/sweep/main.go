@@ -55,12 +55,10 @@
 //	                 (cmd/cached) behind the local tiers: cells missing
 //	                 locally are fetched from the fleet (and filled into
 //	                 DIR), computed cells are written back asynchronously.
-//	                 Multiple URLs shard keys by client-side consistent
-//	                 hashing; a dead or sick shard degrades only its ring
-//	                 segment to local-only — it never fails the sweep.
-//	-cache-replicas K  write each cell to its shard and K distinct ring
-//	                 successors, and read through the same set before
-//	                 declaring a miss, so one lost shard costs no warmth.
+//	                 Multiple URLs place each key on one server by
+//	                 client-side rendezvous hashing; a dead or sick shard
+//	                 degrades only its own keys to local-only — it never
+//	                 fails the sweep.
 //	-cache-readonly  consult DIR/URL but never write either (CI-friendly)
 //	-cache-gc        prune entries from dead schema versions in DIR — and,
 //	                 with -cache-max-bytes N, LRU-evict down to the byte

@@ -10,12 +10,11 @@
 //	sweepd -cache /var/cache/repro                     # serve on :8355
 //	sweepd -addr 127.0.0.1:8355 -parallel 8            # explicit bind + workers
 //	sweepd -cache DIR -cache-remote http://host:8344   # share a cached fleet store
-//	sweepd -cache-remote http://a:8344,http://b:8344 -cache-replicas 1
+//	sweepd -cache-remote http://a:8344,http://b:8344   # a two-server fleet
 //	sweepd -queue 32 -max-cells 4096                   # admission control
 //
 // Every flag also reads an environment default (SWEEPD_ADDR,
-// SWEEPD_PARALLEL, SWEEPD_CACHE, SWEEPD_CACHE_REMOTE,
-// SWEEPD_CACHE_REPLICAS, SWEEPD_QUEUE,
+// SWEEPD_PARALLEL, SWEEPD_CACHE, SWEEPD_CACHE_REMOTE, SWEEPD_QUEUE,
 // SWEEPD_MAX_CELLS, SWEEPD_HISTORY, SWEEPD_RETRY_AFTER, SWEEPD_DRAIN_SECS),
 // so container deployments configure it without rewriting argv — see
 // OPERATIONS.md for the Dockerfile/docker-compose shape and the full
@@ -94,10 +93,6 @@ func main() {
 	if env := os.Getenv("SWEEPD_CACHE_REMOTE"); env != "" {
 		flag.CommandLine.Lookup("cache-remote").DefValue = env
 		flag.CommandLine.Set("cache-remote", env)
-	}
-	if env := os.Getenv("SWEEPD_CACHE_REPLICAS"); env != "" {
-		flag.CommandLine.Lookup("cache-replicas").DefValue = env
-		flag.CommandLine.Set("cache-replicas", env)
 	}
 	flag.Parse()
 

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/rcache"
+	"repro/internal/testutil"
 )
 
 // startFleet starts n cached servers and returns the comma-separated URL
@@ -28,8 +30,7 @@ func startFleet(t *testing.T, n int) ([]*httptest.Server, string) {
 
 // TestFleetMatchesSingle is the sharded-tier byte-identity pin: one
 // experiment rendered against {no remote, 1 server, a 3-server fleet, the
-// same fleet with one shard dead, the fleet with replication} must produce
-// identical bytes every time — a fleet state is never allowed to leak into
+// same fleet with one shard dead} must produce identical bytes every time — a fleet state is never allowed to leak into
 // output, only into hit rates. It also pins the warmth contract: a cold
 // client against the warm fleet simulates nothing (misses=0, hit-rate 100%).
 func TestFleetMatchesSingle(t *testing.T) {
@@ -42,9 +43,9 @@ func TestFleetMatchesSingle(t *testing.T) {
 	Cache = nil
 	want := renderAll(t, id)
 
-	attach := func(urls string, replicas int) *rcache.Store {
+	attach := func(urls string) *rcache.Store {
 		t.Helper()
-		s, err := (&rcache.CLI{Dir: t.TempDir(), Remote: urls, Replicas: replicas}).Open()
+		s, err := (&rcache.CLI{Dir: t.TempDir(), Remote: urls}).Open()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func TestFleetMatchesSingle(t *testing.T) {
 
 	// Single server: the PR-4 shape, now routed through the one-server fleet.
 	_, single := startFleet(t, 1)
-	s1 := attach(single, 0)
+	s1 := attach(single)
 	Cache = s1
 	if got := renderAll(t, id); got != want {
 		t.Errorf("%s: single-server output differs from uncached", id)
@@ -61,9 +62,9 @@ func TestFleetMatchesSingle(t *testing.T) {
 	s1.Close()
 
 	// Cold 3-shard fleet: computes everything, write-backs spread over the
-	// ring.
+	// shards.
 	servers, list := startFleet(t, 3)
-	cold := attach(list, 0)
+	cold := attach(list)
 	Cache = cold
 	if got := renderAll(t, id); got != want {
 		t.Errorf("%s: cold-fleet output differs from uncached", id)
@@ -73,18 +74,19 @@ func TestFleetMatchesSingle(t *testing.T) {
 	if st.Misses == 0 || st.RemoteStores != st.Misses {
 		t.Errorf("cold fleet stats %+v: every computed cell must be written back", st)
 	}
+	stores := testutil.Series(t, cold.RegisterMetrics, "rcache_shard_stores_total")
 	shardsHit := 0
-	for _, sh := range st.Shards {
-		if sh.Stores > 0 {
+	for _, n := range stores {
+		if n > 0 {
 			shardsHit++
 		}
 	}
 	if shardsHit < 2 {
-		t.Errorf("cold fleet stats %+v: write-backs landed on %d of 3 shards; sharding is not spreading", st, shardsHit)
+		t.Errorf("cold fleet shard stores %v: write-backs landed on %d of 3 shards; sharding is not spreading", stores, shardsHit)
 	}
 
 	// Warm fleet, cold client: all warmth over the wire, nothing simulates.
-	warm := attach(list, 0)
+	warm := attach(list)
 	Cache = warm
 	if got := renderAll(t, id); got != want {
 		t.Errorf("%s: warm-fleet output differs from uncached", id)
@@ -94,28 +96,23 @@ func TestFleetMatchesSingle(t *testing.T) {
 		t.Errorf("warm fleet stats %+v: want misses=0 hit-rate=100%%", st)
 	}
 
-	// Kill one shard: output identical, that shard's segment recomputes, and
+	// Kill one shard: output identical, that shard's keys recompute, and
 	// exactly one shard reads latched. The victim must be a shard that owns
 	// at least one of the 8 quick cells — ports are random per run, so a
 	// fixed index would own zero keys often enough to flake the latch and
 	// recompute assertions below. The cold fill recorded who owns what.
 	var dead *httptest.Server
-	for _, sh := range st.Shards {
-		if sh.Stores == 0 {
-			continue
+	for _, ts := range servers {
+		if stores[fmt.Sprintf("shard=%q", ts.URL)] > 0 {
+			dead = ts
+			break
 		}
-		for _, ts := range servers {
-			if ts.URL == sh.URL {
-				dead = ts
-			}
-		}
-		break
 	}
 	if dead == nil {
-		t.Fatalf("cold fleet stats %+v: no shard with stores to kill", st)
+		t.Fatalf("cold fleet shard stores %v: no shard with stores to kill", stores)
 	}
 	dead.Close()
-	degraded := attach(list, 0)
+	degraded := attach(list)
 	Cache = degraded
 	if got := renderAll(t, id); got != want {
 		t.Errorf("%s: one-shard-dead output differs from uncached", id)
@@ -123,36 +120,14 @@ func TestFleetMatchesSingle(t *testing.T) {
 	degraded.Close()
 	st = degraded.Stats()
 	if st.RemoteHits == 0 || st.Misses == 0 {
-		t.Errorf("degraded fleet stats %+v: want surviving shards warm, dead shard's segment recomputed", st)
+		t.Errorf("degraded fleet stats %+v: want surviving shards warm, dead shard's keys recomputed", st)
 	}
-	latched := 0
-	for _, sh := range st.Shards {
-		if sh.Latched {
-			latched++
-		}
+	latched := testutil.Series(t, degraded.RegisterMetrics, "rcache_shard_latched")
+	sum := 0.0
+	for _, v := range latched {
+		sum += v
 	}
-	if latched != 1 {
-		t.Errorf("degraded fleet stats %+v: want exactly one latched shard, got %d", st, latched)
-	}
-
-	// Replication: a fresh fleet warmed at -cache-replicas 1 keeps serving
-	// every key with a shard dead — misses stay 0.
-	rservers, rlist := startFleet(t, 3)
-	rwarm := attach(rlist, 1)
-	Cache = rwarm
-	if got := renderAll(t, id); got != want {
-		t.Errorf("%s: replicated cold-fleet output differs from uncached", id)
-	}
-	rwarm.Close()
-
-	rservers[0].Close()
-	rcold := attach(rlist, 1)
-	Cache = rcold
-	if got := renderAll(t, id); got != want {
-		t.Errorf("%s: replicated one-shard-dead output differs from uncached", id)
-	}
-	rcold.Close()
-	if st := rcold.Stats(); st.Misses != 0 {
-		t.Errorf("replicated degraded stats %+v: replicas=1 must survive one shard loss with misses=0", st)
+	if len(latched) != 3 || sum != 1 || latched[fmt.Sprintf("shard=%q", dead.URL)] != 1 {
+		t.Errorf("degraded fleet rcache_shard_latched %v: want exactly the killed shard %s latched", latched, dead.URL)
 	}
 }

@@ -11,7 +11,6 @@ import (
 type CLI struct {
 	Dir      string // -cache: persistent directory; "" = in-memory only
 	Remote   string // -cache-remote: comma-separated cached server URLs; "" = local-only
-	Replicas int    // -cache-replicas: extra ring successors each record is written to
 	Readonly bool   // -cache-readonly: consult but never write
 	GC       bool   // -cache-gc: prune dead schema versions and exit (sweep only)
 	MaxBytes int64  // -cache-max-bytes: size budget -cache-gc enforces by LRU (sweep only)
@@ -23,8 +22,7 @@ type CLI struct {
 func RegisterCLI(fs *flag.FlagSet, withGC bool) *CLI {
 	c := &CLI{}
 	fs.StringVar(&c.Dir, "cache", "", "result-cache directory; empty = in-memory dedup only")
-	fs.StringVar(&c.Remote, "cache-remote", "", "comma-separated URLs of shared cache servers (cmd/cached); keys are consistent-hashed across them, misses fall through, computed cells write back")
-	fs.IntVar(&c.Replicas, "cache-replicas", 0, "write each record to this many extra ring successors (and read through them); needs a -cache-remote fleet larger than the count")
+	fs.StringVar(&c.Remote, "cache-remote", "", "comma-separated URLs of shared cache servers (cmd/cached); each key lives on one of them by rendezvous hashing, misses recompute, computed cells write back")
 	fs.BoolVar(&c.Readonly, "cache-readonly", false, "consult the result cache but never write entries (local or remote)")
 	if withGC {
 		fs.BoolVar(&c.GC, "cache-gc", false, "prune dead schema versions under -cache DIR (and enforce -cache-max-bytes), then exit")
@@ -47,12 +45,6 @@ func (c *CLI) Validate() error {
 	}
 	if c.Readonly && c.Dir == "" && c.Remote == "" {
 		return fmt.Errorf("-cache-readonly requires -cache DIR or -cache-remote URL")
-	}
-	if c.Replicas != 0 && c.Remote == "" {
-		return fmt.Errorf("-cache-replicas needs a -cache-remote fleet to replicate across")
-	}
-	if c.Replicas < 0 || c.Replicas > maxReplicas {
-		return fmt.Errorf("-cache-replicas must be in [0, %d]", maxReplicas)
 	}
 	if c.MaxBytes < 0 {
 		return fmt.Errorf("-cache-max-bytes must be >= 0")
@@ -87,12 +79,8 @@ func (c *CLI) RunGC() (string, error) {
 // Open returns the store the flags describe: disk-backed under -cache DIR
 // (memory-only otherwise — in-process dedup is always on; output is
 // byte-identical either way), with the -cache-remote tier attached behind
-// it when given, as AttachRemote attaches it. With Replicas > 0 every
-// computed cell is also written to that many distinct ring successors of its
-// owning shard, and reads fall through the same home set before declaring a
-// miss, so a lost shard's keys stay warm on its neighbors; a replica count
-// the fleet can't honor is an error. Callers must Close the store before
-// exit so pending remote write-backs drain.
+// it when given, as AttachRemote attaches it. Callers must Close the store
+// before exit so pending remote write-backs drain.
 func (c *CLI) Open() (*Store, error) {
 	s := NewMemory()
 	if c.Dir != "" {
@@ -104,11 +92,9 @@ func (c *CLI) Open() (*Store, error) {
 		s.readonly = true
 	}
 	if c.Remote != "" {
-		r, err := newRemote(c.Remote, c.Replicas)
-		if err != nil {
+		if err := s.AttachRemote(c.Remote); err != nil {
 			return nil, err
 		}
-		s.remote = r
 	}
 	return s, nil
 }

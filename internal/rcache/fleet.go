@@ -1,7 +1,6 @@
 package rcache
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -11,135 +10,17 @@ import (
 	"repro/internal/metrics"
 )
 
-// The fleet layer shards the remote tier across N cached instances with
-// client-side consistent hashing, the memcached topology: servers stay dumb
-// byte stores that never know about each other, and every client derives the
-// same key→server assignment from the server list alone. Cache keys are
-// SHA-256 content addresses — already uniform — so the ring needs no extra
-// key hashing: the first 8 bytes of the key are its ring position.
-//
-// Placement is a ring of virtual nodes: each server is hashed onto the ring
-// vnodesPerServer times (points are sha256(canonicalURL#i)), and a key
-// belongs to the server owning the first point at or clockwise after it.
-// Virtual nodes bound the load skew of a small fleet; consistent hashing
-// bounds churn — removing one of N servers remaps only that server's ~1/N of
-// the keyspace, every other key keeps its assignment (fleet_test.go pins
-// both properties).
-//
-// Replication (optional, -cache-replicas k) widens each key's home from one
-// server to its k distinct ring successors: write-backs fan out to all k+1,
-// and reads fall through the same list in ring order before declaring a
-// miss, so a lost shard's keys are still served by its neighbors. With
-// replication off, a lost shard degrades exactly its ring segment — those
-// keys recompute (and the recomputes write back to the shard's successor at
-// the ring's new assignment only if the shard was removed from the list;
-// with the shard merely dead, its segment stays cold until it returns).
-//
-// Every server failure remains a per-server event: one transport latching
-// down (see remote.go) never touches its peers, and output stays
-// byte-identical whatever subset of the fleet is alive — a miss is always
-// just a recomputation.
-
-// vnodesPerServer is the number of ring points per server. 128 keeps the
-// per-server load within a few percent of uniform for small fleets while the
-// whole ring for 16 servers still fits in 32 KiB — binary-searched in tens
-// of nanoseconds (BenchmarkRingPick).
-const vnodesPerServer = 128
-
-// maxReplicas bounds -cache-replicas so read fall-through and write fan-out
-// buffers can live on the stack. A fleet wanting more than 8 copies of every
-// record is misconfigured, not ambitious.
-const maxReplicas = 8
-
-// ringPoint is one virtual node: a position on the 64-bit ring and the
-// server it maps to.
-type ringPoint struct {
-	hash uint64
-	srv  int32
-}
-
-// ring is the immutable consistent-hash ring over a canonical server list.
-// Built once at attach; lookups are read-only and allocation-free.
-type ring struct {
-	points []ringPoint // sorted by hash
-	nsrv   int
-}
-
-// buildRing places each server's virtual nodes. urls must already be
-// canonicalized and sorted — the ring hashes the strings it is given, so
-// canonicalization is what makes equivalent fleet specs (reordered lists,
-// trailing slashes) agree on placement.
-func buildRing(urls []string) *ring {
-	r := &ring{points: make([]ringPoint, 0, len(urls)*vnodesPerServer), nsrv: len(urls)}
-	for si, u := range urls {
-		for v := 0; v < vnodesPerServer; v++ {
-			sum := sha256.Sum256([]byte(fmt.Sprintf("%s#%d", u, v)))
-			r.points = append(r.points, ringPoint{
-				hash: binary.BigEndian.Uint64(sum[:8]),
-				srv:  int32(si),
-			})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		// A 64-bit collision between vnodes is vanishingly unlikely, but the
-		// tie must still break deterministically for every client: lower
-		// server index wins.
-		return r.points[i].srv < r.points[j].srv
-	})
-	return r
-}
-
-// first returns the index of the ring point owning key: the first point at
-// or clockwise after the key's position, wrapping to 0.
-func (r *ring) first(key Key) int {
-	h := binary.BigEndian.Uint64(key[:8])
-	pts := r.points
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].hash < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(pts) {
-		lo = 0
-	}
-	return lo
-}
-
-// successors fills buf with up to len(buf) distinct server indices in ring
-// order starting at key's owner, and returns the filled prefix. buf sized
-// replicas+1 yields the key's full home set: primary first, then the
-// replication successors. Allocation-free for stack buffers.
-func (r *ring) successors(key Key, buf []int) []int {
-	want := len(buf)
-	if want > r.nsrv {
-		want = r.nsrv
-	}
-	pts := r.points
-	start := r.first(key)
-	n := 0
-	for i := 0; i < len(pts) && n < want; i++ {
-		srv := int(pts[(start+i)%len(pts)].srv)
-		seen := false
-		for _, s := range buf[:n] {
-			if s == srv {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			buf[n] = srv
-			n++
-		}
-	}
-	return buf[:n]
-}
+// The fleet layer spreads the remote tier over N cached instances,
+// memcached-style: servers never know about each other, and every client
+// derives the same key→server assignment from the server list alone, by
+// rendezvous (highest-random-weight) hashing. Each canonical URL carries a
+// salt (newTransport); a key's home is the server whose salt, mixed with
+// the key's first 8 bytes (already uniform: keys are SHA-256 sums), scores
+// highest. A score depends only on (key, URL), so placement ignores list
+// order, and removing or adding one of N servers moves only the keys it
+// held or wins, ~1/N (fleet_test.go pins both). A dead shard — latched down
+// per server, see remote.go — costs exactly its own keys a recomputation:
+// output stays byte-identical whatever subset of the fleet is alive.
 
 type wbItem struct {
 	t    *transport
@@ -147,22 +28,15 @@ type wbItem struct {
 	body []byte
 }
 
-// remote is the networked tier Store.fill consults: a fleet of cached
-// servers behind one consistent-hash ring, plus the shared asynchronous
-// write-back queue. A single -cache-remote URL is simply a one-server fleet.
-//
-// Reads are read-through with local fill (a remote hit is persisted into the
-// local disk tier, so the next run doesn't need the network). Writes are
-// asynchronous write-back: computed cells are queued — fanned out to the
-// key's home set when replication is on — and PUT by background workers
-// while the sweep keeps simulating; Store.Close drains the queue so
-// short-lived CLI processes don't exit with results unsent. The queue is
-// bounded: if the fleet can't keep up, overflow write-backs are dropped
-// (and counted), never blocking the simulation path.
+// remote is the networked tier Store.fill consults: the fleet's servers
+// plus one bounded asynchronous write-back queue. A single -cache-remote
+// URL is a one-server fleet. Reads go to the key's home and fill the local
+// disk tier on a hit; computed cells are queued for their home and PUT by
+// background workers while the sweep keeps simulating, and Store.Close
+// drains the queue. If the fleet can't keep up, overflow write-backs are
+// dropped (and counted), never blocking the simulation path.
 type remote struct {
-	servers  []*transport // canonical (sorted-URL) order; index = ring server id
-	ring     *ring
-	replicas int // extra ring successors each record is written to and read from
+	servers []*transport // canonical (sorted-URL) order; index = home id
 
 	mu     sync.Mutex // guards queue-vs-close
 	closed bool
@@ -170,17 +44,15 @@ type remote struct {
 	wg     sync.WaitGroup
 }
 
-// writebackQueue bounds the memory a burst of cold cells can pin while the
-// fleet lags, per server: the queue scales with the fleet because a wider
-// fleet both ingests faster and, with replication, receives more items per
-// computed cell.
+// writebackQueue bounds, per server, the memory a burst of cold cells can
+// pin while the fleet lags.
 const writebackQueue = 512
 
 // newRemote builds the fleet tier from a comma-separated URL list.
 // Canonicalization (scheme://host), deduplication rejection, and sorting
 // happen here, so every client handed the same server set — in any order,
-// with any trailing-slash debris — builds the identical ring.
-func newRemote(urls string, replicas int) (*remote, error) {
+// with any trailing-slash debris — derives the identical placement.
+func newRemote(urls string) (*remote, error) {
 	var canon []string
 	for _, raw := range strings.Split(urls, ",") {
 		raw = strings.TrimSpace(raw)
@@ -202,17 +74,9 @@ func newRemote(urls string, replicas int) (*remote, error) {
 			return nil, fmt.Errorf("rcache: remote list names %s twice", canon[i])
 		}
 	}
-	if replicas < 0 || replicas > maxReplicas {
-		return nil, fmt.Errorf("rcache: replicas must be in [0, %d], got %d", maxReplicas, replicas)
-	}
-	if replicas > len(canon)-1 {
-		return nil, fmt.Errorf("rcache: replicas=%d needs at least %d servers, got %d", replicas, replicas+1, len(canon))
-	}
 	r := &remote{
-		servers:  make([]*transport, len(canon)),
-		ring:     buildRing(canon),
-		replicas: replicas,
-		queue:    make(chan wbItem, writebackQueue*len(canon)),
+		servers: make([]*transport, len(canon)),
+		queue:   make(chan wbItem, writebackQueue*len(canon)),
 	}
 	for i, u := range canon {
 		r.servers[i] = newTransport(u)
@@ -220,57 +84,57 @@ func newRemote(urls string, replicas int) (*remote, error) {
 	// Two workers per server drain the queue concurrently so one slow or
 	// latched shard doesn't convoy its peers' write-backs (capped: beyond 8
 	// workers the bottleneck is the single client host, not the fleet).
-	workers := 2 * len(canon)
-	if workers > 8 {
-		workers = 8
-	}
-	for i := 0; i < workers; i++ {
+	for range min(2*len(canon), 8) {
 		r.wg.Add(1)
 		go r.worker()
 	}
 	return r, nil
 }
 
-// get resolves key against its home set in ring order: the owning shard,
-// then its replication successors (none with replication off). Any
-// per-shard anomaly degrades to trying the next copy; only when every copy
-// misses does the tier report a miss. decodeRecord inside transport.get
-// guarantees a fall-through can never serve a wrong-key record — a replica
-// is only trusted for the bytes its key names.
-func (r *remote) get(key Key) (metrics.Run, bool) {
-	var buf [maxReplicas + 1]int
-	for _, srv := range r.ring.successors(key, buf[:r.replicas+1]) {
-		if run, ok := r.servers[srv].get(key); ok {
-			return run, true
+// home returns the index of key's server: the highest score
+// splitmix64(key[:8] ^ salt) over the fleet, ties to the lower index.
+// Allocation-free; one mix per server.
+func (r *remote) home(key Key) int {
+	k := binary.BigEndian.Uint64(key[:8])
+	best, top := 0, splitmix64(k^r.servers[0].salt)
+	for i := 1; i < len(r.servers); i++ {
+		if w := splitmix64(k ^ r.servers[i].salt); w > top {
+			best, top = i, w
 		}
 	}
-	return metrics.Run{}, false
+	return best
 }
 
-// put queues an asynchronous write-back of an already-encoded record to the
-// key's home set (1+replicas shards). Never blocks: a full queue drops the
-// item (counted against the target shard) — losing a write-back costs a
-// future recomputation, stalling the simulation path costs wall time now.
-// Shards currently latched down are skipped silently: the latch already
-// counted, and queueing for a dead server would only displace live items.
+// splitmix64 is the SplitMix64 output function (Steele, Lea & Flood 2014),
+// a bijective mix: XOR-ing a salt into the key gives each server an
+// unrelated score.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// get asks key's home server; any anomaly there is a miss.
+func (r *remote) get(key Key) (metrics.Run, bool) {
+	return r.servers[r.home(key)].get(key)
+}
+
+// put queues a write-back of an encoded record for key's home server. It
+// never blocks: a full queue drops the item (counted against the server),
+// and a server latched down is skipped — the latch already counted, and its
+// items would only displace live ones.
 func (r *remote) put(key Key, body []byte) {
-	var buf [maxReplicas + 1]int
-	targets := r.ring.successors(key, buf[:r.replicas+1])
+	t := r.servers[r.home(key)]
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed || t.latched() {
 		return
 	}
-	for _, srv := range targets {
-		t := r.servers[srv]
-		if t.latched() {
-			continue
-		}
-		select {
-		case r.queue <- wbItem{t, key, body}:
-		default:
-			t.errs.Add(1)
-		}
+	select {
+	case r.queue <- wbItem{t, key, body}:
+	default:
+		t.errs.Add(1)
 	}
 }
 
@@ -281,31 +145,13 @@ func (r *remote) worker() {
 	}
 }
 
-// storesTotal and errsTotal aggregate the per-shard counters into the
-// fleet totals (Stats.RemoteStores/RemoteErrs and the rcache_remote_*
-// metrics); the per-shard breakdown is Stats.Shards.
+// storesTotal and errsTotal sum the per-shard counters (the rcache_shard_*
+// series) into the fleet totals Stats and rcache_remote_* report.
 func (r *remote) storesTotal() (n int64) {
 	for _, t := range r.servers {
 		n += t.stores.Load()
 	}
 	return n
-}
-
-// shardStats snapshots every transport's counters in ring order.
-func (r *remote) shardStats() []ShardStats {
-	out := make([]ShardStats, len(r.servers))
-	for i, t := range r.servers {
-		out[i] = ShardStats{
-			URL:     t.base,
-			Gets:    t.gets.Load(),
-			Hits:    t.hits.Load(),
-			Errs:    t.errs.Load(),
-			Stores:  t.stores.Load(),
-			Latches: t.latches.Load(),
-			Latched: t.latched(),
-		}
-	}
-	return out
 }
 
 func (r *remote) errsTotal() (n int64) {

@@ -123,22 +123,6 @@ type Stats struct {
 	Corrupt      int64 // unreadable or mismatched disk records discarded
 	RemoteStores int64 // write-backs acknowledged by remote servers (fleet total)
 	RemoteErrs   int64 // remote anomalies degraded to misses/drops (fleet total; one tick latches a dead server down)
-
-	// Shards is the per-server breakdown of the remote tier, in ring
-	// (sorted canonical URL) order. Empty when no remote is attached.
-	Shards []ShardStats
-}
-
-// ShardStats is one cache server's view from this client: its counters and
-// whether the client currently has it latched down.
-type ShardStats struct {
-	URL     string
-	Gets    int64 // GET requests actually sent (latched short-circuits don't count)
-	Hits    int64 // GETs answered with a valid record
-	Errs    int64 // transport failures, bad statuses, corrupt responses, dropped write-backs
-	Stores  int64 // write-backs acknowledged
-	Latches int64 // up->down transitions observed
-	Latched bool  // currently latched down
 }
 
 // Hits returns the lookups that avoided a fresh simulation.
@@ -192,16 +176,15 @@ func Open(dir string, readonly bool) (*Store, error) {
 // the disk tier: lookups missing locally are fetched from the fleet and
 // filled into the local store; computed cells are written back
 // asynchronously. urls is a comma-separated list; with more than one
-// server, keys are consistent-hashed across the fleet (see fleet.go). Call
-// before the first Do. Errors reject malformed URLs and duplicate servers —
-// an unreachable server is detected lazily and degrades that shard to
-// misses rather than failing anything. CLI.Open attaches a fleet with
-// write replication.
+// server, each key lives on one of them by rendezvous hashing (see
+// fleet.go). Call before the first Do. Errors reject malformed URLs and
+// duplicate servers — an unreachable server is detected lazily and degrades
+// that shard to misses rather than failing anything.
 func (s *Store) AttachRemote(urls string) error {
 	if s.remote != nil {
 		return fmt.Errorf("rcache: remote already attached")
 	}
-	r, err := newRemote(urls, 0)
+	r, err := newRemote(urls)
 	if err != nil {
 		return err
 	}
@@ -233,7 +216,6 @@ func (s *Store) Stats() Stats {
 	if s.remote != nil {
 		st.RemoteStores = s.remote.storesTotal()
 		st.RemoteErrs = s.remote.errsTotal()
-		st.Shards = s.remote.shardStats()
 	}
 	return st
 }
@@ -255,7 +237,6 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 		r.CounterFunc("rcache_remote_stores_total", "", "write-backs acknowledged by remote servers", s.remote.storesTotal)
 		r.CounterFunc("rcache_remote_errors_total", "", "remote anomalies degraded to misses or drops", s.remote.errsTotal)
 		for _, t := range s.remote.servers {
-			t := t
 			labels := fmt.Sprintf("shard=%q", t.base)
 			r.CounterFunc("rcache_shard_gets_total", labels, "GET requests sent to this shard", t.gets.Load)
 			r.CounterFunc("rcache_shard_hits_total", labels, "valid records served by this shard", t.hits.Load)

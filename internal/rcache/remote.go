@@ -2,6 +2,8 @@ package rcache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,8 +28,8 @@ import (
 //     cell — and a server that comes back is picked up by the next probe.
 //
 // This file is the per-server layer: one transport per cached instance,
-// owning its connection, its latch, and its counters. How a set of
-// transports composes into a tier — the consistent-hash ring, replication,
+// owning its connection, its latch, its placement salt and its counters.
+// How a set of transports composes into a tier — rendezvous placement and
 // the shared write-back queue — lives in fleet.go.
 
 // maxEntryBytes bounds a record on the wire (and in the server): real
@@ -37,8 +39,10 @@ const maxEntryBytes = 8 << 20
 
 // remoteTimeout bounds every request to a cache server. The server does
 // O(file read) work per request; anything slower than this is a sick server
-// the transport should latch away from rather than wait on.
-const remoteTimeout = 10 * time.Second
+// the transport should latch away from rather than wait on. It also bounds
+// Store.Close: a silent server costs the drain one timeout, then its latch
+// skips the rest of its queue. A var so tests can shrink it.
+var remoteTimeout = 10 * time.Second
 
 // reprobeInterval is how long a latched transport stays down before one
 // caller is allowed through to probe the server again. Long enough that a
@@ -58,6 +62,7 @@ var reprobeInterval = 5 * time.Second
 // server that was restarted rejoins the tier without operator action.
 type transport struct {
 	base   string // server root, no trailing slash; entries live under /cache/<version>/<key>
+	salt   uint64 // first 8 bytes of sha256(base): this server's rendezvous salt (fleet.go)
 	client *http.Client
 
 	// downUntil is 0 when the server is up, else the unix-nano deadline the
@@ -74,7 +79,7 @@ type transport struct {
 
 // parseServerURL canonicalizes one server URL to scheme://host so that
 // equivalent spellings (trailing slash, path debris) collapse to one
-// transport identity — the ring hashes this string.
+// transport identity — placement hashes this string.
 func parseServerURL(raw string) (string, error) {
 	u, err := url.Parse(raw)
 	if err != nil {
@@ -99,8 +104,10 @@ var sharedHTTPTransport = func() *http.Transport {
 }()
 
 func newTransport(canonicalURL string) *transport {
+	sum := sha256.Sum256([]byte(canonicalURL))
 	return &transport{
 		base:   canonicalURL,
+		salt:   binary.BigEndian.Uint64(sum[:8]),
 		client: &http.Client{Timeout: remoteTimeout, Transport: sharedHTTPTransport},
 	}
 }

@@ -1,8 +1,9 @@
-// Package testutil holds helpers shared by the repository's tests — today
-// the reflection-based field perturbation the fingerprint-completeness
-// tests use to prove that every field of a cache-keyed struct participates
-// in its canonical encoding. It is imported only from _test files and must
-// never be reached by production code.
+// Package testutil holds helpers shared by the repository's tests: the
+// reflection-based field perturbation the fingerprint-completeness tests
+// use to prove that every field of a cache-keyed struct participates in its
+// canonical encoding, and a reader for the metric registry's text
+// rendering. It is imported only from _test files and must never be reached
+// by production code.
 package testutil
 
 import (

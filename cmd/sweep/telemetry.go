@@ -23,9 +23,8 @@ const summaryTop = 10
 // never stdout — so tables stay byte-identical with any combination of these
 // flags on or off.
 type telemetry struct {
-	reg     *obs.Registry
+	reg     *obs.Registry // nil unless -stats
 	tracer  *obs.Tracer
-	stats   bool
 	traceF  *os.File
 	cpuF    *os.File
 	memPath string
@@ -35,8 +34,8 @@ type telemetry struct {
 // the run before any simulation — and wires the tracer into the experiment
 // layer. Call after the cache store is attached so its counters register.
 func startTelemetry(stats bool, tracePath, cpuPath, memPath string, store *rcache.Store) (*telemetry, error) {
-	t := &telemetry{stats: stats, memPath: memPath}
-	if stats || tracePath != "" {
+	t := &telemetry{memPath: memPath}
+	if stats {
 		t.reg = obs.NewRegistry()
 		runner.RegisterMetrics(t.reg)
 		sim.RegisterMetrics(t.reg)
@@ -51,7 +50,6 @@ func startTelemetry(stats bool, tracePath, cpuPath, memPath string, store *rcach
 		}
 		t.traceF = f
 		t.tracer = obs.NewTracer()
-		t.tracer.RegisterMetrics(t.reg)
 		exp.Tracer = t.tracer
 	}
 	if cpuPath != "" {
@@ -97,7 +95,7 @@ func (t *telemetry) finish() {
 			f.Close()
 		}
 	}
-	if t.stats {
+	if t.reg != nil {
 		t.reg.WriteText(os.Stderr)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/rcache"
+	"repro/internal/testutil"
 	"repro/internal/workloads"
 )
 
@@ -34,17 +35,20 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 				t.Errorf("%s: pooled output at Parallelism=%d differs from unpooled:\n--- unpooled ---\n%s\n--- pooled ---\n%s",
 					id, p, unpooled, got)
 			}
-			st := InstancePool.Stats()
-			if st.Hits+st.Misses == 0 {
+			wpool := func(name string) float64 {
+				return testutil.Series(t, InstancePool.RegisterMetrics, "wpool_"+name)[""]
+			}
+			hits, misses, cont := wpool("hits_total"), wpool("misses_total"), wpool("contended_total")
+			if hits+misses == 0 {
 				t.Errorf("%s: pool saw no traffic at Parallelism=%d", id, p)
 			}
 			// Serial runs have zero contention, so reuse is exact: one build
 			// per distinct spec, everything else hits.
-			if p == 1 && st.Hits == 0 {
-				t.Errorf("%s: serial pooled run never reused an instance: %+v", id, st)
+			if p == 1 && hits == 0 {
+				t.Errorf("%s: serial pooled run never reused an instance: %v misses", id, misses)
 			}
-			if p == 1 && st.Contended != 0 {
-				t.Errorf("%s: serial pooled run reported contention: %+v", id, st)
+			if p == 1 && cont != 0 {
+				t.Errorf("%s: serial pooled run reported contention: %v of %v misses", id, cont, misses)
 			}
 		}
 	}

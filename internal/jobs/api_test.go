@@ -14,6 +14,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/rcache"
+	"repro/internal/testutil"
 )
 
 // tinyDef is a 1-cell definition small enough that every test that really
@@ -147,6 +148,36 @@ func TestQuotaRejects413(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "quota") {
 		t.Fatalf("body %q does not mention the quota", rec.Body.String())
+	}
+}
+
+// TestJobEnumeratesCellsOnce pins grid_cells_enumerated_total under the
+// service: an admitted N-cell job adds N (its run enumerates the grid once;
+// the quota check only counts), and a job rejected for quota adds nothing.
+func TestJobEnumeratesCellsOnce(t *testing.T) {
+	m, api := newTestAPI(t, Config{MaxCells: 8})
+	enumerated := func() float64 {
+		return testutil.Series(t, grid.RegisterMetrics, "grid_cells_enumerated_total")[""]
+	}
+	before := enumerated()
+	rec := postJob(t, api, smallDef) // 8 cells, at the quota
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit code = %d (body %q)", rec.Code, rec.Body.String())
+	}
+	if fin := waitTerminal(t, m, decodeStatus(t, rec).ID); fin.State != StateDone {
+		t.Fatalf("state = %s (err %q)", fin.State, fin.Error)
+	}
+	if got := enumerated() - before; got != 8 {
+		t.Errorf("one 8-cell job enumerated %v cells, want 8", got)
+	}
+
+	before = enumerated()
+	over := strings.Replace(smallDef, `"cores":[1,2]`, `"cores":[1,2,4]`, 1) // 12 cells
+	if rec := postJob(t, api, over); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("code = %d, want 413 (body %q)", rec.Code, rec.Body.String())
+	}
+	if got := enumerated() - before; got != 0 {
+		t.Errorf("a quota-rejected job enumerated %v cells, want 0", got)
 	}
 }
 

@@ -382,7 +382,9 @@ func (m *Manager) Submit(raw []byte) (*Job, error) {
 		m.rejectedInvalid.Add(1)
 		return nil, &SubmitError{HTTPStatus: 400, Reason: err.Error()}
 	}
-	cells := len(g.Cells())
+	// Count without enumerating: the run enumerates the cells once, and
+	// grid_cells_enumerated_total should count them once.
+	cells := len(g.Workloads) * len(g.Configs) * len(g.Scheds)
 	if cells > m.cfg.MaxCells {
 		m.rejectedQuota.Add(1)
 		m.cfg.Log.Warn("job rejected", "reason", "quota", "cells", cells, "max_cells", m.cfg.MaxCells)

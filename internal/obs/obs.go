@@ -13,18 +13,19 @@
 //
 // Three pieces:
 //
-//   - Registry (registry.go): named counters, gauges, and histograms with a
-//     single sorted text rendering in the Prometheus exposition format. The
-//     same registry serves `sweep -stats` / `cmpsim -stats` on stderr and
-//     the /metrics endpoints of cmd/cached and cmd/sweepd; it is the only
-//     rendering of the counters.
+//   - Registry (registry.go): counters and gauges sampled from their
+//     owners' state at render time, with a single sorted text rendering in
+//     the Prometheus exposition format. The same registry serves `sweep
+//     -stats` / `cmpsim -stats` on stderr and the /metrics endpoints of
+//     cmd/cached and cmd/sweepd; it is the only rendering of the counters.
 //   - Tracer / Span (trace.go): one span per simulation cell, wall time
 //     split into the six phases of the cell path (cache lookup, pool
 //     acquire, build, reset, simulate, store), emitted as a JSONL event
 //     trace (`sweep -trace-out`) and summarized as a top-N-slowest table.
-//   - Clock (this file): the one blessed wall-clock read. Determinism-
-//     critical packages may not call time.Now (reprolint's detrand
-//     analyzer); routing telemetry through obs.Now/obs.Since instead keeps
+//     Those two are the spans' only renderings; they feed no metric.
+//   - Now and Since (this file): the one blessed wall-clock read.
+//     Determinism-critical packages may not call time.Now (reprolint's
+//     detrand analyzer); routing telemetry through obs.Now/obs.Since keeps
 //     those packages clean without per-site //repro:allow annotations. The
 //     contract the sanctioning rests on: a value read from this clock may
 //     flow into counters, spans, benchmarks, and logs — never into
@@ -38,24 +39,9 @@ package obs
 
 import "time"
 
-// Clock is the sanctioned telemetry wall-clock source. It exists as a named
-// type so the determinism contract (DESIGN.md, "Observability") has a
-// single thing to point at: code in determinism-critical packages reads
-// wall time through obs.Clock or not at all.
-type Clock struct{}
-
-// Now returns the current wall-clock time.
-func (Clock) Now() time.Time { return time.Now() }
+// Now returns the current wall-clock time: the sanctioned wall-clock read
+// for telemetry in determinism-critical packages.
+func Now() time.Time { return time.Now() }
 
 // Since returns the wall-clock time elapsed since t.
-func (Clock) Since(t time.Time) time.Duration { return time.Since(t) }
-
-// clock is the package-level instance behind Now and Since.
-var clock Clock
-
-// Now is shorthand for obs.Clock's Now — the sanctioned wall-clock read for
-// telemetry in determinism-critical packages.
-func Now() time.Time { return clock.Now() }
-
-// Since is shorthand for obs.Clock's Since.
-func Since(t time.Time) time.Duration { return clock.Since(t) }
+func Since(t time.Time) time.Duration { return time.Since(t) }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // TextContentType is the HTTP Content-Type of the registry's rendering —
@@ -20,16 +19,15 @@ const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 // -stats`) and the /metrics endpoint are this one rendering, so operators
 // and scrapers always read the same numbers under the same names.
 //
-// Metrics come in two shapes: owned instruments (Counter, Gauge, Histogram)
-// that callers mutate directly, and collector functions (CounterFunc,
-// GaugeFunc) that sample an existing source — the shape used to absorb the
-// pre-existing rcache/wpool/runner atomics without rewriting them. Every
-// metric is registered under a family name plus an optional fixed label
-// set, e.g. ("rcache_hits_total", `tier="mem"`); registering the same
-// (name, labels) twice, or one name under two types or help strings,
-// panics — metric identity is a programming contract, not user input.
+// Every metric is a sampled collector (CounterFunc, GaugeFunc): the layer
+// that owns a number keeps it in its own atomics or under its own lock, and
+// the registry reads it through a closure at render time. Every metric is
+// registered under a family name plus an optional fixed label set, e.g.
+// ("rcache_hits_total", `tier="mem"`); registering the same (name, labels)
+// twice, or one name under two types or help strings, panics — metric
+// identity is a programming contract, not user input.
 //
-// All methods are safe for concurrent use; instruments update lock-free.
+// All methods are safe for concurrent use.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -42,17 +40,10 @@ type family struct {
 }
 
 // member is one registered metric within a family, identified by its fixed
-// label set. collect appends its current samples.
+// label set: one exposition line, name{labels} value().
 type member struct {
-	labels  string
-	collect func(name, labels string, out []sample) []sample
-}
-
-// sample is one exposition line: name+suffix{labels} value.
-type sample struct {
-	name   string // family name plus suffix (_bucket, _sum, _count)
 	labels string // rendered label pairs, "" for none
-	value  float64
+	value  func() float64
 	isInt  bool // render without float formatting (counters)
 }
 
@@ -64,7 +55,7 @@ func NewRegistry() *Registry {
 // register validates and inserts one member, panicking on identity
 // violations (duplicate name+labels, or a name re-registered with different
 // type or help).
-func (r *Registry) register(name, labels, help, typ string, collect func(name, labels string, out []sample) []sample) {
+func (r *Registry) register(name, typ, help string, m member) {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -77,12 +68,12 @@ func (r *Registry) register(name, labels, help, typ string, collect func(name, l
 	} else if f.typ != typ || f.help != help {
 		panic(fmt.Sprintf("obs: metric %q re-registered as %s %q (was %s %q)", name, typ, help, f.typ, f.help))
 	}
-	for _, m := range f.members {
-		if m.labels == labels {
-			panic(fmt.Sprintf("obs: metric %q{%s} registered twice", name, labels))
+	for _, o := range f.members {
+		if o.labels == m.labels {
+			panic(fmt.Sprintf("obs: metric %q{%s} registered twice", name, m.labels))
 		}
 	}
-	f.members = append(f.members, member{labels: labels, collect: collect})
+	f.members = append(f.members, m)
 }
 
 // validMetricName enforces the Prometheus metric-name grammar
@@ -100,142 +91,16 @@ func validMetricName(s string) bool {
 	return true
 }
 
-// A Counter is a monotonically increasing integer instrument.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n (n must be non-negative).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Counter registers and returns an owned counter.
-func (r *Registry) Counter(name, labels, help string) *Counter {
-	c := &Counter{}
-	r.register(name, labels, help, "counter", func(name, labels string, out []sample) []sample {
-		return append(out, sample{name: name, labels: labels, value: float64(c.v.Load()), isInt: true})
-	})
-	return c
-}
-
 // CounterFunc registers a counter whose value is sampled from f at render
-// time — the adapter that exposes pre-existing atomics (rcache, wpool,
+// time — the adapter that exposes a layer's own atomics (rcache, wpool,
 // runner counters) without rewriting their owners.
 func (r *Registry) CounterFunc(name, labels, help string, f func() int64) {
-	r.register(name, labels, help, "counter", func(name, labels string, out []sample) []sample {
-		return append(out, sample{name: name, labels: labels, value: float64(f()), isInt: true})
-	})
-}
-
-// A Gauge is an instrument whose value can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Gauge registers and returns an owned gauge.
-func (r *Registry) Gauge(name, labels, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, labels, help, "gauge", func(name, labels string, out []sample) []sample {
-		return append(out, sample{name: name, labels: labels, value: float64(g.v.Load()), isInt: true})
-	})
-	return g
+	r.register(name, "counter", help, member{labels: labels, value: func() float64 { return float64(f()) }, isInt: true})
 }
 
 // GaugeFunc registers a gauge sampled from f at render time.
 func (r *Registry) GaugeFunc(name, labels, help string, f func() float64) {
-	r.register(name, labels, help, "gauge", func(name, labels string, out []sample) []sample {
-		return append(out, sample{name: name, labels: labels, value: f()})
-	})
-}
-
-// A Histogram counts observations into cumulative buckets. Observations and
-// rendering are lock-free; the float sum is maintained by compare-and-swap
-// on its bit pattern.
-type Histogram struct {
-	bounds  []float64 // upper bounds, strictly increasing; +Inf implicit
-	counts  []atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-// DurationBuckets is the default bucket ladder for phase and cell
-// durations, in seconds: 1 ms to 64 s, quadrupling. Cold cells sit in the
-// 0.25–16 s range on this suite; warm lookups land in the first bucket.
-var DurationBuckets = []float64{0.001, 0.004, 0.016, 0.064, 0.25, 1, 4, 16, 64}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i].Add(1)
-			break
-		}
-	}
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		new := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, new) {
-			return
-		}
-	}
-}
-
-// Histogram registers and returns an owned histogram with the given bucket
-// upper bounds (strictly increasing; a +Inf bucket is implicit).
-func (r *Registry) Histogram(name, labels, help string, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not strictly increasing", name))
-		}
-	}
-	h := &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]atomic.Int64, len(bounds))}
-	r.register(name, labels, help, "histogram", func(name, labels string, out []sample) []sample {
-		cum := int64(0)
-		for i, b := range h.bounds {
-			cum += h.counts[i].Load()
-			out = append(out, sample{
-				name:   name + "_bucket",
-				labels: joinLabels(labels, `le="`+formatValue(b, false)+`"`),
-				value:  float64(cum),
-				isInt:  true,
-			})
-		}
-		// Clamp the +Inf bucket to at least the last cumulative count: an
-		// Observe racing this render may have ticked a bucket before the
-		// total, and exposition buckets must stay monotone.
-		total := h.count.Load()
-		if total < cum {
-			total = cum
-		}
-		out = append(out, sample{name: name + "_bucket", labels: joinLabels(labels, `le="+Inf"`), value: float64(total), isInt: true})
-		out = append(out, sample{name: name + "_sum", labels: labels, value: math.Float64frombits(h.sumBits.Load())})
-		out = append(out, sample{name: name + "_count", labels: labels, value: float64(total), isInt: true})
-		return out
-	})
-	return h
-}
-
-// joinLabels concatenates two rendered label fragments.
-func joinLabels(a, b string) string {
-	if a == "" {
-		return b
-	}
-	return a + "," + b
+	r.register(name, "gauge", help, member{labels: labels, value: f})
 }
 
 // formatValue renders a sample value. Integer-valued metrics render as
@@ -260,11 +125,12 @@ func (r *Registry) WriteText(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	// Snapshot the member lists under the lock; collection itself runs
+	// Snapshot the member lists under the lock; sampling itself runs
 	// outside it so a collector may take its owner's locks freely.
-	fams := make([]*family, len(names))
+	fams := make([]family, len(names))
 	for i, name := range names {
-		fams[i] = r.families[name]
+		fams[i] = *r.families[name]
+		fams[i].members = append([]member(nil), fams[i].members...)
 	}
 	r.mu.Unlock()
 
@@ -272,18 +138,13 @@ func (r *Registry) WriteText(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
 			return err
 		}
-		members := append([]member(nil), f.members...)
-		sort.Slice(members, func(i, j int) bool { return members[i].labels < members[j].labels })
-		var samples []sample
-		for _, m := range members {
-			samples = m.collect(f.name, m.labels, samples)
-		}
-		for _, s := range samples {
-			line := s.name
-			if s.labels != "" {
-				line += "{" + s.labels + "}"
+		sort.Slice(f.members, func(i, j int) bool { return f.members[i].labels < f.members[j].labels })
+		for _, m := range f.members {
+			line := f.name
+			if m.labels != "" {
+				line += "{" + m.labels + "}"
 			}
-			if _, err := fmt.Fprintf(w, "%s %s\n", line, formatValue(s.value, s.isInt)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %s\n", line, formatValue(m.value(), m.isInt)); err != nil {
 				return err
 			}
 		}

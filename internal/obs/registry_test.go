@@ -6,41 +6,28 @@ import (
 )
 
 // TestExpositionGolden pins the text rendering exactly: family ordering,
-// HELP/TYPE lines, label rendering, histogram bucket cumulation, and value
-// formatting. /metrics consumers and the -stats stderr dump both read this
-// format, so it must not drift silently.
+// HELP/TYPE lines, label rendering, and value formatting. /metrics
+// consumers and the -stats stderr dump both read this format, so it must
+// not drift silently.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("repro_cells_total", "", "cells executed")
-	c.Add(41)
-	c.Inc()
+	r.CounterFunc("repro_cells_total", "", "cells executed", func() int64 { return 42 })
 	r.CounterFunc("rcache_hits_total", `tier="mem"`, "cache hits by tier", func() int64 { return 7 })
 	r.CounterFunc("rcache_hits_total", `tier="disk"`, "cache hits by tier", func() int64 { return 3 })
-	g := r.Gauge("runner_tokens_in_use", "", "budget tokens held")
-	g.Set(5)
-	g.Add(-2)
+	r.GaugeFunc("runner_tokens_in_use", "", "budget tokens held", func() float64 { return 3 })
 	r.GaugeFunc("wpool_idle_bytes", "", "idle instance bytes", func() float64 { return 1.5e6 })
-	h := r.Histogram("phase_seconds", `phase="build"`, "phase wall time", []float64{0.01, 0.1, 1})
-	h.Observe(0.005)
-	h.Observe(0.05)
-	h.Observe(0.05)
-	h.Observe(2.5)
+	r.GaugeFunc("runner_busy_fraction", "", "busy share", func() float64 { return 0.25 })
 
-	want := `# HELP phase_seconds phase wall time
-# TYPE phase_seconds histogram
-phase_seconds_bucket{phase="build",le="0.01"} 1
-phase_seconds_bucket{phase="build",le="0.1"} 3
-phase_seconds_bucket{phase="build",le="1"} 3
-phase_seconds_bucket{phase="build",le="+Inf"} 4
-phase_seconds_sum{phase="build"} 2.605
-phase_seconds_count{phase="build"} 4
-# HELP rcache_hits_total cache hits by tier
+	want := `# HELP rcache_hits_total cache hits by tier
 # TYPE rcache_hits_total counter
 rcache_hits_total{tier="disk"} 3
 rcache_hits_total{tier="mem"} 7
 # HELP repro_cells_total cells executed
 # TYPE repro_cells_total counter
 repro_cells_total 42
+# HELP runner_busy_fraction busy share
+# TYPE runner_busy_fraction gauge
+runner_busy_fraction 0.25
 # HELP runner_tokens_in_use budget tokens held
 # TYPE runner_tokens_in_use gauge
 runner_tokens_in_use 3
@@ -72,22 +59,19 @@ func TestRegistryIdentityViolationsPanic(t *testing.T) {
 		f    func(r *Registry)
 	}{
 		{"duplicate name+labels", func(r *Registry) {
-			r.Counter("x_total", "", "x")
-			r.Counter("x_total", "", "x")
+			r.CounterFunc("x_total", "", "x", zero)
+			r.CounterFunc("x_total", "", "x", zero)
 		}},
 		{"same name different type", func(r *Registry) {
-			r.Counter("x_total", "", "x")
-			r.Gauge("x_total", `a="b"`, "x")
+			r.CounterFunc("x_total", "", "x", zero)
+			r.GaugeFunc("x_total", `a="b"`, "x", zeroF)
 		}},
 		{"same name different help", func(r *Registry) {
-			r.Counter("x_total", `a="b"`, "x")
-			r.Counter("x_total", `a="c"`, "y")
+			r.CounterFunc("x_total", `a="b"`, "x", zero)
+			r.CounterFunc("x_total", `a="c"`, "y", zero)
 		}},
-		{"invalid name", func(r *Registry) { r.Counter("2bad", "", "x") }},
-		{"empty name", func(r *Registry) { r.Counter("", "", "x") }},
-		{"unordered histogram bounds", func(r *Registry) {
-			r.Histogram("h", "", "x", []float64{1, 1})
-		}},
+		{"invalid name", func(r *Registry) { r.GaugeFunc("2bad", "", "x", zeroF) }},
+		{"empty name", func(r *Registry) { r.CounterFunc("", "", "x", zero) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,8 +88,8 @@ func TestRegistryIdentityViolationsPanic(t *testing.T) {
 // Distinct label sets under one family are legal and must not panic.
 func TestRegistryLabeledMembersCoexist(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hits_total", `tier="mem"`, "hits")
-	r.Counter("hits_total", `tier="disk"`, "hits")
+	r.CounterFunc("hits_total", `tier="mem"`, "hits", zero)
+	r.CounterFunc("hits_total", `tier="disk"`, "hits", zero)
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -115,22 +99,6 @@ func TestRegistryLabeledMembersCoexist(t *testing.T) {
 	}
 }
 
-func TestHistogramObserveConcurrent(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h_seconds", "", "h", DurationBuckets)
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			for i := 0; i < 1000; i++ {
-				h.Observe(0.002)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if got := h.count.Load(); got != 4000 {
-		t.Errorf("count = %d, want 4000", got)
-	}
-}
+func zero() int64 { return 0 }
+
+func zeroF() float64 { return 0 }

@@ -39,18 +39,10 @@ const (
 	NumPhases
 )
 
-// phaseNames are the stable external names, used in summaries and metric
-// labels. The JSONL schema uses SpanRecord's field names.
+// phaseNames are the stable external names, used in the summary. The JSONL
+// schema uses SpanRecord's field names.
 var phaseNames = [NumPhases]string{
 	"cache-lookup", "pool-acquire", "build", "reset", "simulate", "store",
-}
-
-// String returns the phase's stable external name.
-func (p Phase) String() string {
-	if p < 0 || p >= NumPhases {
-		return fmt.Sprintf("phase(%d)", int(p))
-	}
-	return phaseNames[p]
 }
 
 // A Span records one cell's execution: its identity, how it was resolved,
@@ -120,11 +112,6 @@ func (sp *Span) Finish() {
 type Tracer struct {
 	mu    sync.Mutex
 	spans []*Span
-
-	// Optional registry instruments, attached by RegisterMetrics: per-phase
-	// duration histograms and a span counter, observed at Finish.
-	cells *Counter
-	hist  [NumPhases]*Histogram
 }
 
 // NewTracer returns an empty tracer.
@@ -140,33 +127,11 @@ func (t *Tracer) StartSpan(workload, config, sched string, quick bool) *Span {
 	return &Span{tracer: t, workload: workload, config: config, sched: sched, quick: quick, start: Now()}
 }
 
-// add delivers a finished span and feeds the attached instruments.
+// add delivers a finished span.
 func (t *Tracer) add(sp *Span) {
 	t.mu.Lock()
 	t.spans = append(t.spans, sp)
-	cells, hist := t.cells, t.hist
 	t.mu.Unlock()
-	if cells != nil {
-		cells.Inc()
-	}
-	for p, h := range hist {
-		if h != nil && sp.phases[p] > 0 {
-			h.Observe(sp.phases[p].Seconds())
-		}
-	}
-}
-
-// RegisterMetrics attaches the tracer to a registry: a span counter and one
-// duration histogram per phase, observed as spans finish. Call before the
-// traced run starts.
-func (t *Tracer) RegisterMetrics(r *Registry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.cells = r.Counter("repro_cell_spans_total", "", "simulation cell spans recorded by the tracer")
-	for p := Phase(0); p < NumPhases; p++ {
-		t.hist[p] = r.Histogram("repro_cell_phase_seconds", `phase="`+p.String()+`"`,
-			"per-cell wall time by execution phase", DurationBuckets)
-	}
 }
 
 // Len returns the number of finished spans collected so far.

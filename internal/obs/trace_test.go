@@ -129,28 +129,3 @@ func TestSummaryRanksSlowest(t *testing.T) {
 		t.Errorf("n=2 summary includes third cell:\n%s", s)
 	}
 }
-
-// RegisterMetrics must feed the registry as spans finish.
-func TestTracerRegisterMetrics(t *testing.T) {
-	tr := NewTracer()
-	r := NewRegistry()
-	tr.RegisterMetrics(r)
-	sp := tr.StartSpan("w", "c", "s", false)
-	sp.StartPhase(PhaseSimulate)()
-	end := sp.StartPhase(PhaseBuild)
-	time.Sleep(2 * time.Millisecond)
-	end()
-	sp.Finish()
-
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "repro_cell_spans_total 1") {
-		t.Errorf("span counter not ticked:\n%s", out)
-	}
-	if !strings.Contains(out, `repro_cell_phase_seconds_count{phase="build"} 1`) {
-		t.Errorf("build histogram not observed:\n%s", out)
-	}
-}

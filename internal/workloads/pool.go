@@ -22,8 +22,8 @@ import (
 // multi-hundred-millisecond simulation to save a few milliseconds of build
 // would invert the economics and serialize the runner's parallel arms. Build
 // dedup therefore happens at release time — returned copies satisfy later
-// acquires — and the contended-build count is surfaced in Stats so the
-// trade-off stays observable.
+// acquires — and the contended-build count is surfaced as
+// wpool_contended_total so the trade-off stays observable.
 //
 // Instances are megabytes each, so the idle side of the pool is bounded by a
 // byte budget: Release deposits a copy only while the estimated idle bytes
@@ -196,41 +196,9 @@ func (p *Pool) evictOldest() {
 	p.evicts++
 }
 
-// PoolStats is a snapshot of a pool's counters.
-type PoolStats struct {
-	Hits      int64 // acquires served by resetting an idle instance
-	Misses    int64 // acquires that built (Contended is the subset built while copies were checked out)
-	Contended int64
-	Evictions int64 // idle instances evicted for budget (Dropped: never deposited, single instance over budget)
-	Dropped   int64
-	Idle      int    // current idle instances
-	IdleBytes uint64 // estimated bytes of idle instances
-}
-
-// Stats snapshots the pool's counters.
-func (p *Pool) Stats() PoolStats {
-	if p == nil {
-		return PoolStats{}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := PoolStats{
-		Hits:      p.hits,
-		Misses:    p.misses,
-		Contended: p.cont,
-		Evictions: p.evicts,
-		Dropped:   p.dropped,
-		IdleBytes: p.size,
-	}
-	for _, free := range p.idle {
-		s.Idle += len(free)
-	}
-	return s
-}
-
 // RegisterMetrics exposes the pool's counters on a registry as the wpool_*
-// family — the same numbers Stats snapshots, under stable exposition names.
-// Each collector takes the pool lock for one field read at render time.
+// family, the pool's only counter surface. Each collector takes the pool
+// lock for one read at render time.
 func (p *Pool) RegisterMetrics(r *obs.Registry) {
 	read := func(f func() int64) func() int64 {
 		return func() int64 {
@@ -250,7 +218,15 @@ func (p *Pool) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("wpool_dropped_total", "", "released instances too large to ever deposit",
 		read(func() int64 { return p.dropped }))
 	r.GaugeFunc("wpool_idle_instances", "", "instances currently idle in the pool",
-		func() float64 { return float64(p.Stats().Idle) })
+		func() float64 {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			n := 0
+			for _, free := range p.idle {
+				n += len(free)
+			}
+			return float64(n)
+		})
 	r.GaugeFunc("wpool_idle_bytes", "", "estimated bytes of idle instances",
 		func() float64 {
 			p.mu.Lock()
@@ -261,6 +237,6 @@ func (p *Pool) RegisterMetrics(r *obs.Registry) {
 	// without a pool), but belongs to the same family for readers.
 	r.CounterFunc("wpool_builds_total", "", "workload instances constructed since process start",
 		func() int64 { n, _ := BuildCount(); return n })
-	r.CounterFunc("wpool_build_nanoseconds_total", "", "wall time spent constructing instances (obs.Clock)",
+	r.CounterFunc("wpool_build_nanoseconds_total", "", "wall time spent constructing instances (obs.Now)",
 		func() int64 { _, ns := BuildCount(); return ns })
 }

@@ -3,6 +3,8 @@ package workloads
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // --- Instance lifecycle ------------------------------------------------------
@@ -54,6 +56,13 @@ func TestResetOnArmedInstanceIsNoop(t *testing.T) {
 
 // --- Pool --------------------------------------------------------------------
 
+// wpool reads the pool's unlabeled wpool_<name> sample through the
+// registry, as `sweep -stats` and /metrics render it.
+func wpool(t *testing.T, p *Pool, name string) float64 {
+	t.Helper()
+	return testutil.Series(t, p.RegisterMetrics, "wpool_"+name)[""]
+}
+
 // TestPoolReusesReleasedInstance uses matmul deliberately: its leaf tasks
 // accumulate into C, so if Acquire handed back a released instance without
 // restoring the build-time bytes, the second run would double C and fail
@@ -75,9 +84,9 @@ func TestPoolReusesReleasedInstance(t *testing.T) {
 	}
 	runOn(t, in2, 2, "ws")
 
-	st := p.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Contended != 0 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
+	hits, misses, cont := wpool(t, p, "hits_total"), wpool(t, p, "misses_total"), wpool(t, p, "contended_total")
+	if hits != 1 || misses != 1 || cont != 0 {
+		t.Fatalf("hits/misses/contended = %v/%v/%v, want 1/1/0", hits, misses, cont)
 	}
 }
 
@@ -89,13 +98,13 @@ func TestPoolContendedAcquireBuildsFresh(t *testing.T) {
 	if in1 == in2 {
 		t.Fatal("contended Acquire returned the checked-out instance")
 	}
-	if st := p.Stats(); st.Contended != 1 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 2 misses of which 1 contended", st)
+	if cont, misses := wpool(t, p, "contended_total"), wpool(t, p, "misses_total"); cont != 1 || misses != 2 {
+		t.Fatalf("misses/contended = %v/%v, want 2 misses of which 1 contended", misses, cont)
 	}
 	p.Release(in1)
 	p.Release(in2)
-	if st := p.Stats(); st.Idle != 2 {
-		t.Fatalf("idle = %d, want both copies pooled", st.Idle)
+	if idle := wpool(t, p, "idle_instances"); idle != 2 {
+		t.Fatalf("idle = %v, want both copies pooled", idle)
 	}
 }
 
@@ -111,8 +120,8 @@ func TestPoolDiscardBalancesCheckedOutCount(t *testing.T) {
 	if in2 == in {
 		t.Fatal("discarded instance came back from the pool")
 	}
-	if st := p.Stats(); st.Contended != 0 {
-		t.Fatalf("stats = %+v, want no phantom contention after Discard", st)
+	if cont := wpool(t, p, "contended_total"); cont != 0 {
+		t.Fatalf("contended = %v, want no phantom contention after Discard", cont)
 	}
 	p.Release(in2)
 }
@@ -124,9 +133,8 @@ func TestPoolBudgetEvictsLeastRecentlyReleased(t *testing.T) {
 	p := NewPool(instanceCost(inA) + instanceCost(inB) - 1)
 	p.Release(inA)
 	p.Release(inB) // over budget: evicts A, the older release
-	st := p.Stats()
-	if st.Evictions != 1 || st.Idle != 1 {
-		t.Fatalf("stats = %+v, want exactly one eviction leaving one idle", st)
+	if ev, idle := wpool(t, p, "evictions_total"), wpool(t, p, "idle_instances"); ev != 1 || idle != 1 {
+		t.Fatalf("evictions/idle = %v/%v, want exactly one eviction leaving one idle", ev, idle)
 	}
 	if got := p.Acquire(specB, nil); got != inB {
 		t.Fatal("survivor should have been the most recently released (B)")
@@ -140,9 +148,9 @@ func TestPoolDropsOversizeInstance(t *testing.T) {
 	p := NewPool(16) // smaller than any instance
 	in := Build(smallSpec("scan"))
 	p.Release(in)
-	st := p.Stats()
-	if st.Dropped != 1 || st.Idle != 0 || st.IdleBytes != 0 {
-		t.Fatalf("stats = %+v, want the oversize instance dropped, none idle", st)
+	dropped, idle, bytes := wpool(t, p, "dropped_total"), wpool(t, p, "idle_instances"), wpool(t, p, "idle_bytes")
+	if dropped != 1 || idle != 0 || bytes != 0 {
+		t.Fatalf("dropped/idle/idle bytes = %v/%v/%v, want the oversize instance dropped, none idle", dropped, idle, bytes)
 	}
 }
 
@@ -154,9 +162,6 @@ func TestNilPoolBuildsFresh(t *testing.T) {
 	in2 := p.Acquire(spec, nil)
 	if in1 == in2 {
 		t.Fatal("nil pool must not retain instances")
-	}
-	if st := p.Stats(); st != (PoolStats{}) {
-		t.Fatalf("nil pool stats = %+v, want zero", st)
 	}
 }
 
@@ -179,11 +184,10 @@ func TestPoolConcurrentAcquireRelease(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st := p.Stats()
-	if got := st.Hits + st.Misses; got != 160 {
-		t.Fatalf("hits+misses = %d, want 160", got)
+	if got := wpool(t, p, "hits_total") + wpool(t, p, "misses_total"); got != 160 {
+		t.Fatalf("hits+misses = %v, want 160", got)
 	}
-	if st.Idle < 1 {
-		t.Fatalf("stats = %+v, want at least one idle instance after drain", st)
+	if idle := wpool(t, p, "idle_instances"); idle < 1 {
+		t.Fatalf("idle = %v, want at least one idle instance after drain", idle)
 	}
 }

@@ -182,7 +182,7 @@ func shapeErr(s Spec) error {
 // malformed parameters — Specs are experiment-table input, not user input
 // (callers with user input validate with Spec.Validate first).
 func Build(s Spec) *Instance {
-	// Wall time is read through obs.Clock, the sanctioned telemetry clock:
+	// Wall time is read through obs.Now, the sanctioned telemetry clock:
 	// it feeds only BuildCount/benchmark reporting, never simulation state,
 	// output tables, or cache keys.
 	start := obs.Now()

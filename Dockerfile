@@ -28,5 +28,4 @@ COPY --from=build /out/sweepd /usr/local/bin/sweepd
 COPY --from=build /out/sweep /usr/local/bin/sweep
 VOLUME /var/cache/sweepd
 EXPOSE 8355
-ENV SWEEPD_CACHE=/var/cache/sweepd
-ENTRYPOINT ["sweepd"]
+ENTRYPOINT ["sweepd", "-cache", "/var/cache/sweepd"]

@@ -16,12 +16,11 @@
 //	cmpsim -workload spmv -cache-remote http://host:8344
 //	sweep  -exp all -cache-remote http://a:8344,http://b:8344,http://c:8344
 //
-// The HTTP surface (see internal/rcache's Server) is GET/HEAD/PUT on
-// /cache/<version>/<key> with ETag = "<key>" and conditional GET via
-// If-None-Match, plus two side-band endpoints: GET /metrics (the server's
-// counters in Prometheus text exposition format) and GET /healthz
-// (liveness: 200 with uptime and the live schema version — what CI waits on
-// before starting clients).
+// The HTTP surface (see internal/rcache's Server) is GET/PUT on
+// /cache/<version>/<key>, plus two side-band endpoints: GET /metrics (the
+// server's counters, store size included, in Prometheus text exposition
+// format) and GET /healthz (liveness: 200 with uptime and the live schema
+// version — what CI waits on before starting clients).
 // Entries are immutable and content-addressed, so the server needs no
 // coherence protocol: it is a dumb byte store whose keys carry all the
 // semantics.
@@ -67,13 +66,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	st := srv.Stats()
 	budget := "unbounded"
 	if *maxBytes > 0 {
 		budget = fmt.Sprintf("%d bytes", *maxBytes)
 	}
-	log.Printf("cached: serving %s on %s (%d entries, %d bytes, budget %s; live schema %s)",
-		*dir, *addr, st.Entries, st.Bytes, budget, rcache.LiveVersion())
+	log.Printf("cached: serving %s on %s (budget %s; live schema %s)",
+		*dir, *addr, budget, rcache.LiveVersion())
 	// A long-lived shared server must not let slow or stalled peers pin
 	// connections forever: every request is O(one file read), so generous
 	// timeouts lose nothing and bound what a slow-loris client can hold.

@@ -13,12 +13,9 @@
 //	sweepd -cache-remote http://a:8344,http://b:8344   # a two-server fleet
 //	sweepd -queue 32 -max-cells 4096                   # admission control
 //
-// Every flag also reads an environment default (SWEEPD_ADDR,
-// SWEEPD_PARALLEL, SWEEPD_CACHE, SWEEPD_CACHE_REMOTE, SWEEPD_QUEUE,
-// SWEEPD_MAX_CELLS, SWEEPD_HISTORY, SWEEPD_RETRY_AFTER, SWEEPD_DRAIN_SECS),
-// so container deployments configure it without rewriting argv — see
-// OPERATIONS.md for the Dockerfile/docker-compose shape and the full
-// /v1/jobs API reference.
+// It is configured through flags only; containers pass them as the
+// command (see OPERATIONS.md for the Dockerfile/docker-compose shape and
+// the full /v1/jobs API reference).
 //
 // Endpoints: POST/GET /v1/jobs, GET /v1/jobs/{id} (+ /result, /events SSE,
 // /trace), DELETE /v1/jobs/{id}, plus /healthz and /metrics (Prometheus
@@ -40,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -53,47 +49,16 @@ import (
 	"repro/internal/sim"
 )
 
-// envOr reads an environment default for a flag, so containers configure
-// sweepd via env (the 12-factor shape) while argv still wins.
-func envOr(name, def string) string {
-	if v := os.Getenv(name); v != "" {
-		return v
-	}
-	return def
-}
-
-func envIntOr(name string, def int) int {
-	v := os.Getenv(name)
-	if v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweepd: %s=%q is not an integer\n", name, v)
-		os.Exit(2)
-	}
-	return n
-}
-
 func main() {
 	var (
-		addr       = flag.String("addr", envOr("SWEEPD_ADDR", ":8355"), "listen address")
-		parallel   = flag.Int("parallel", envIntOr("SWEEPD_PARALLEL", runtime.GOMAXPROCS(0)), "concurrent simulation workers per job (1 = serial)")
-		queue      = flag.Int("queue", envIntOr("SWEEPD_QUEUE", 16), "max jobs waiting behind the running one; beyond it submissions get 429")
-		maxCells   = flag.Int("max-cells", envIntOr("SWEEPD_MAX_CELLS", grid.MaxCells), "per-job cell quota; definitions resolving to more are rejected with 413")
-		history    = flag.Int("history", envIntOr("SWEEPD_HISTORY", 64), "terminal jobs retained for status/result retrieval")
-		retryAfter = flag.Int("retry-after", envIntOr("SWEEPD_RETRY_AFTER", 5), "seconds advertised in 429 Retry-After headers")
-		drainSecs  = flag.Int("drain-secs", envIntOr("SWEEPD_DRAIN_SECS", 600), "max seconds to let the running job finish on shutdown (0 = unbounded)")
+		addr      = flag.String("addr", ":8355", "listen address")
+		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation workers per job (1 = serial)")
+		queue     = flag.Int("queue", 16, "max jobs waiting behind the running one; beyond it submissions get 429")
+		maxCells  = flag.Int("max-cells", grid.MaxCells, "per-job cell quota; definitions resolving to more are rejected with 413")
+		history   = flag.Int("history", 64, "terminal jobs retained for status/result retrieval")
+		drainSecs = flag.Int("drain-secs", 600, "max seconds to let the running job finish on shutdown (0 = unbounded)")
 	)
 	cli := rcache.RegisterCLI(flag.CommandLine, false)
-	if env := os.Getenv("SWEEPD_CACHE"); env != "" {
-		flag.CommandLine.Lookup("cache").DefValue = env
-		flag.CommandLine.Set("cache", env)
-	}
-	if env := os.Getenv("SWEEPD_CACHE_REMOTE"); env != "" {
-		flag.CommandLine.Lookup("cache-remote").DefValue = env
-		flag.CommandLine.Set("cache-remote", env)
-	}
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -102,8 +67,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		os.Exit(2)
 	}
-	if *queue < 1 || *maxCells < 1 || *history < 1 || *retryAfter < 1 || *drainSecs < 0 {
-		fmt.Fprintln(os.Stderr, "sweepd: -queue, -max-cells, -history, -retry-after must be positive and -drain-secs non-negative")
+	if *queue < 1 || *maxCells < 1 || *history < 1 || *drainSecs < 0 {
+		fmt.Fprintln(os.Stderr, "sweepd: -queue, -max-cells, -history must be positive and -drain-secs non-negative")
 		os.Exit(2)
 	}
 
@@ -121,11 +86,10 @@ func main() {
 	exp.Cache = store
 
 	mgr := jobs.New(jobs.Config{
-		Queue:      *queue,
-		MaxCells:   *maxCells,
-		History:    *history,
-		RetryAfter: *retryAfter,
-		Log:        log,
+		Queue:    *queue,
+		MaxCells: *maxCells,
+		History:  *history,
+		Log:      log,
 	})
 
 	reg := obs.NewRegistry()

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/rcache"
@@ -24,8 +23,8 @@ const maxBodyBytes = 1 << 20
 //	POST   /v1/jobs             submit a grid.Def (JSON body) → 202 + Status
 //	GET    /v1/jobs             list retained jobs
 //	GET    /v1/jobs/{id}        poll one job's Status
-//	GET    /v1/jobs/{id}/result rendered table (text/plain) or CSV (Accept:
-//	                            text/csv, or ?format=csv); 409 until done
+//	GET    /v1/jobs/{id}/result rendered table (text/plain), or CSV with
+//	                            ?format=csv; 409 until done
 //	GET    /v1/jobs/{id}/events SSE progress stream until terminal
 //	GET    /v1/jobs/{id}/trace  per-cell spans as JSONL (sweep -trace-out's
 //	                            schema), whatever has completed so far
@@ -34,8 +33,8 @@ const maxBodyBytes = 1 << 20
 //	GET    /metrics             the unified registry, Prometheus text format
 //
 // Submission rejections carry the admission reason as plain text: 400
-// invalid definition, 413 over the per-job cell quota, 429 queue full (with
-// Retry-After), 503 draining.
+// invalid definition (an oversized body included), 413 over the per-job
+// cell quota, 429 queue full (with Retry-After), 503 draining.
 type API struct {
 	m   *Manager
 	reg *obs.Registry
@@ -71,6 +70,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
+		// Rejected before Submit sees it, so counted here, with the
+		// definitions Submit finds invalid.
+		a.m.rejectedInvalid.Add(1)
 		http.Error(w, "request body unreadable or over "+strconv.Itoa(maxBodyBytes)+" bytes", http.StatusBadRequest)
 		return
 	}
@@ -78,8 +80,8 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var se *SubmitError
 		if errors.As(err, &se) {
-			if se.RetryAfter > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
+			if se.HTTPStatus == http.StatusTooManyRequests {
+				w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
 			}
 			http.Error(w, se.Reason, se.HTTPStatus)
 			return
@@ -127,11 +129,10 @@ func (a *API) cancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // result serves the rendered output once the job is done: the aligned table
-// by default, CSV when the client asks via `Accept: text/csv` or
-// `?format=csv`. Both bodies are byte-identical to `sweep -grid` /
-// `sweep -grid -csv` on the same definition. A job that is not (yet)
-// done answers 409 with the Status JSON, so pollers can distinguish
-// "not finished" from "failed" without a second request.
+// by default, CSV with `?format=csv`. Both bodies are byte-identical to
+// `sweep -grid` / `sweep -grid -csv` on the same definition. A job that is
+// not (yet) done answers 409 with the Status JSON, so pollers can
+// distinguish "not finished" from "failed" without a second request.
 func (a *API) result(w http.ResponseWriter, r *http.Request) {
 	j := a.lookup(w, r)
 	if j == nil {
@@ -142,7 +143,7 @@ func (a *API) result(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, a.m.Status(j))
 		return
 	}
-	if r.URL.Query().Get("format") == "csv" || strings.Contains(r.Header.Get("Accept"), "text/csv") {
+	if r.URL.Query().Get("format") == "csv" {
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		io.WriteString(w, csv)
 		return

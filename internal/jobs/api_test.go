@@ -151,6 +151,21 @@ func TestQuotaRejects413(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyCountedInvalid: a body over maxBodyBytes is refused
+// before Submit parses it — here a valid definition padded past the limit —
+// and still counts as an invalid submission on /metrics.
+func TestOversizedBodyCountedInvalid(t *testing.T) {
+	m, api := newTestAPI(t, Config{})
+	rec := postJob(t, api, tinyDef+strings.Repeat(" ", maxBodyBytes))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("code = %d, want 400 (body %q)", rec.Code, rec.Body.String())
+	}
+	invalid := testutil.Series(t, m.RegisterMetrics, "sweepd_jobs_rejected_total")[`reason="invalid"`]
+	if st := m.Stats(); invalid != 1 || st.Submitted != 0 {
+		t.Fatalf("rejected{invalid} = %v, submitted = %d; want 1 and 0", invalid, st.Submitted)
+	}
+}
+
 // TestJobEnumeratesCellsOnce pins grid_cells_enumerated_total under the
 // service: an admitted N-cell job adds N (its run enumerates the grid once;
 // the quota check only counts), and a job rejected for quota adds nothing.
@@ -231,8 +246,7 @@ func TestSubmitPollResult(t *testing.T) {
 		t.Fatalf("table Content-Type = %q", ct)
 	}
 
-	req = httptest.NewRequest("GET", "/v1/jobs/"+st.ID+"/result", nil)
-	req.Header.Set("Accept", "text/csv")
+	req = httptest.NewRequest("GET", "/v1/jobs/"+st.ID+"/result?format=csv", nil)
 	out = httptest.NewRecorder()
 	api.ServeHTTP(out, req)
 	if out.Code != 200 || out.Body.String() != wantCSV {
@@ -240,14 +254,6 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 	if ct := out.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/csv") {
 		t.Fatalf("csv Content-Type = %q", ct)
-	}
-
-	// ?format=csv is the curl-friendly spelling of the Accept header.
-	req = httptest.NewRequest("GET", "/v1/jobs/"+st.ID+"/result?format=csv", nil)
-	out = httptest.NewRecorder()
-	api.ServeHTTP(out, req)
-	if out.Body.String() != wantCSV {
-		t.Fatal("?format=csv differs from Accept: text/csv")
 	}
 
 	// The trace endpoint serves one valid span record per cell.
@@ -429,7 +435,7 @@ func TestSSEStream(t *testing.T) {
 }
 
 func TestQueueFullReturns429(t *testing.T) {
-	m, api := newTestAPI(t, Config{Queue: 1, RetryAfter: 7})
+	m, api := newTestAPI(t, Config{Queue: 1})
 	gate := make(chan struct{})
 	m.beforeRun = func(*Job) { <-gate }
 	defer close(gate)
@@ -446,8 +452,8 @@ func TestQueueFullReturns429(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("job 3: code = %d, want 429 (body %q)", rec.Code, rec.Body.String())
 	}
-	if ra := rec.Header().Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After = %q, want 7", ra)
+	if ra := rec.Header().Get("Retry-After"); ra != "5" {
+		t.Fatalf("Retry-After = %q, want 5", ra)
 	}
 	if st := m.Stats(); st.RejectedFull != 1 {
 		t.Fatalf("rejected_queue_full = %d", st.RejectedFull)

@@ -71,9 +71,6 @@ type Config struct {
 	// History is how many terminal jobs are retained for status and result
 	// retrieval before the oldest are evicted. Zero means 64.
 	History int
-	// RetryAfter is the seconds advertised in the Retry-After header of
-	// queue-full rejections. Zero means 5.
-	RetryAfter int
 	// Log receives structured job-lifecycle events (accepted, running,
 	// finished, rejections, drain). Nil discards them.
 	Log *slog.Logger
@@ -89,21 +86,20 @@ func (c Config) withDefaults() Config {
 	if c.History <= 0 {
 		c.History = 64
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 5
-	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
 	}
 	return c
 }
 
+// retryAfterSecs is the Retry-After a queue-full (429) rejection advertises.
+const retryAfterSecs = 5
+
 // A SubmitError is a rejected submission, carrying the HTTP status the API
 // layer maps it to (400 invalid definition, 413 over the cell quota, 429
 // queue full, 503 draining).
 type SubmitError struct {
 	HTTPStatus int
-	RetryAfter int // seconds; set on queue-full (429) rejections
 	Reason     string
 }
 
@@ -406,8 +402,7 @@ func (m *Manager) Submit(raw []byte) (*Job, error) {
 		m.cfg.Log.Warn("job rejected", "reason", "queue-full", "queue_depth", len(m.queue))
 		return nil, &SubmitError{
 			HTTPStatus: 429,
-			RetryAfter: m.cfg.RetryAfter,
-			Reason:     fmt.Sprintf("job queue is full (%d waiting); retry in %ds", len(m.queue), m.cfg.RetryAfter),
+			Reason:     fmt.Sprintf("job queue is full (%d waiting); retry in %ds", len(m.queue), retryAfterSecs),
 		}
 	}
 	m.seq++

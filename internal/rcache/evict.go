@@ -14,7 +14,7 @@ import (
 // access time.
 //
 // "Access time" is maintained by this package, not the filesystem: both the
-// disk tier (diskGet) and the HTTP server (GET/HEAD) touch an entry's
+// disk tier (diskGet) and the HTTP server (GET) touch an entry's
 // timestamps on every hit, because relying on kernel atime would silently
 // starve the policy on the noatime/relatime mounts most Linux systems use.
 // An entry's ModTime is therefore "last written or last served", which is

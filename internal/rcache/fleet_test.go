@@ -230,11 +230,11 @@ func TestFleetShardsWrites(t *testing.T) {
 
 	var total int64
 	for i, srv := range srvs {
-		st := srv.Stats()
-		if st.Entries == 0 {
+		entries := cachedSample(t, srv, "cached_store_entries")
+		if entries == 0 {
 			t.Errorf("shard %d received no entries; sharding is not spreading", i)
 		}
-		total += st.Entries
+		total += entries
 	}
 	if total != int64(len(keys)) {
 		t.Fatalf("fleet holds %d entries for %d keys; each must be stored exactly once", total, len(keys))

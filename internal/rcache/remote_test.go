@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/testutil"
 )
 
 func newTestServer(t *testing.T, maxBytes int64) (*Server, *httptest.Server) {
@@ -26,6 +27,17 @@ func newTestServer(t *testing.T, maxBytes int64) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// cachedSample reads one unlabeled cached_* sample of srv as /metrics
+// renders it.
+func cachedSample(t *testing.T, srv *Server, name string) int64 {
+	t.Helper()
+	v, ok := testutil.Series(t, srv.registerMetrics, name)[""]
+	if !ok {
+		t.Fatalf("no %s sample", name)
+	}
+	return int64(v)
 }
 
 // openRemoteStore opens a disk store in its own temp dir with the remote
@@ -62,8 +74,8 @@ func TestRemoteRoundTrip(t *testing.T) {
 	if st := a.Stats(); st.Misses != 1 || st.RemoteStores != 1 || st.RemoteErrs != 0 {
 		t.Fatalf("client A stats %+v: want 1 miss, 1 remote store, 0 errs", st)
 	}
-	if st := srv.Stats(); st.Puts != 1 || st.Entries != 1 {
-		t.Fatalf("server stats %+v: want the written-back entry", st)
+	if puts, entries := cachedSample(t, srv, "cached_puts_total"), cachedSample(t, srv, "cached_store_entries"); puts != 1 || entries != 1 {
+		t.Fatalf("server: %d puts, %d entries; want the written-back entry", puts, entries)
 	}
 
 	b := openRemoteStore(t, ts.URL)
@@ -114,8 +126,8 @@ func TestRemoteMemoryOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Close()
-	if st := srv.Stats(); st.Puts != 1 {
-		t.Fatalf("server stats %+v: memory-only client did not write back", st)
+	if puts := cachedSample(t, srv, "cached_puts_total"); puts != 1 {
+		t.Fatalf("server: %d puts; memory-only client did not write back", puts)
 	}
 
 	b := NewMemory()
@@ -150,105 +162,17 @@ func TestReadonlyNeverWritesRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if st := srv.Stats(); st.Puts != 0 {
-		t.Fatalf("server stats %+v: readonly client wrote back", st)
+	if puts := cachedSample(t, srv, "cached_puts_total"); puts != 0 {
+		t.Fatalf("server: %d puts; readonly client wrote back", puts)
 	}
 	if st := s.Stats(); st.RemoteStores != 0 {
 		t.Fatalf("client stats %+v: readonly store counted a write-back", st)
 	}
 }
 
-// TestServerConditionalGet pins the ETag semantics: ETag is the quoted key,
-// If-None-Match short-circuits to 304 (even for entries the server no
-// longer holds — the key is the content), and plain GET/HEAD carry the tag.
-func TestServerConditionalGet(t *testing.T) {
-	_, ts := newTestServer(t, 0)
-	key := Key{9}
-	want := testRun()
-
-	a := openRemoteStore(t, ts.URL)
-	if _, err := a.Do(key, func() (metrics.Run, error) { return want, nil }); err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-
-	url := ts.URL + "/cache/" + LiveVersion() + "/" + key.String()
-	etag := `"` + key.String() + `"`
-
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag {
-		t.Fatalf("GET: status %d etag %q, want 200 %q", resp.StatusCode, resp.Header.Get("ETag"), etag)
-	}
-
-	for _, inm := range []string{etag, key.String(), "*", `W/` + etag, `"other", ` + etag} {
-		req, _ := http.NewRequest(http.MethodGet, url, nil)
-		req.Header.Set("If-None-Match", inm)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotModified {
-			t.Errorf("GET If-None-Match %q: status %d, want 304", inm, resp.StatusCode)
-		}
-	}
-
-	// A non-matching validator serves the entry normally.
-	req, _ := http.NewRequest(http.MethodGet, url, nil)
-	req.Header.Set("If-None-Match", `"deadbeef"`)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("GET with stale validator: status %d, want 200", resp.StatusCode)
-	}
-
-	// HEAD mirrors GET without a body.
-	req, _ = http.NewRequest(http.MethodHead, url, nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag {
-		t.Errorf("HEAD: status %d etag %q, want 200 %q", resp.StatusCode, resp.Header.Get("ETag"), etag)
-	}
-
-	// The content-addressed shortcut: 304 for a key the server never held.
-	missing := Key{0xee}
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/cache/"+LiveVersion()+"/"+missing.String(), nil)
-	req.Header.Set("If-None-Match", `"`+missing.String()+`"`)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Errorf("If-None-Match on evicted entry: status %d, want 304 (the key IS the content)", resp.StatusCode)
-	}
-
-	// But "*" asserts server-side existence (RFC 9110): 304 only for an
-	// entry the server holds, 404 otherwise — no shortcut.
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/cache/"+LiveVersion()+"/"+missing.String(), nil)
-	req.Header.Set("If-None-Match", "*")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("If-None-Match: * on missing entry: status %d, want 404 (* asserts existence)", resp.StatusCode)
-	}
-}
-
 // TestServerRejectsBadRequests: paths outside the store shape 404; a PUT
-// whose body is not a record for the named key must not land.
+// whose body is not a record for the named key must not land; an entry
+// answers GET and PUT only.
 func TestServerRejectsBadRequests(t *testing.T) {
 	srv, ts := newTestServer(t, 0)
 	put := func(path string, body []byte) int {
@@ -289,24 +213,35 @@ func TestServerRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", c.name, got, c.want)
 		}
 	}
-	if st := srv.Stats(); st.Entries != 0 {
-		t.Fatalf("server stats %+v: a rejected PUT landed", st)
+	if entries := cachedSample(t, srv, "cached_store_entries"); entries != 0 {
+		t.Fatalf("server: %d entries; a rejected PUT landed", entries)
 	}
-	if st := srv.Stats(); st.BadRequests != int64(len(cases)) {
-		t.Fatalf("server stats %+v: want %d bad requests", st, len(cases))
+	if bad := cachedSample(t, srv, "cached_bad_requests_total"); bad != int64(len(cases)) {
+		t.Fatalf("server: %d bad requests, want %d", bad, len(cases))
 	}
 
 	// And the well-formed PUT lands.
 	if got := put("/cache/"+LiveVersion()+"/"+key.String(), good); got != http.StatusNoContent {
 		t.Fatalf("good PUT: status %d, want 204", got)
 	}
-	if st := srv.Stats(); st.Entries != 1 || st.Puts != 1 {
-		t.Fatalf("server stats %+v: want exactly the good entry", st)
+	if puts, entries := cachedSample(t, srv, "cached_puts_total"), cachedSample(t, srv, "cached_store_entries"); entries != 1 || puts != 1 {
+		t.Fatalf("server: %d puts, %d entries; want exactly the good entry", puts, entries)
+	}
+
+	// HEAD on the entry it now holds is still not a method an entry serves.
+	req, _ := http.NewRequest(http.MethodHead, ts.URL+"/cache/"+LiveVersion()+"/"+key.String(), nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, PUT" {
+		t.Fatalf("HEAD on an entry: status %d Allow %q, want 405 %q", resp.StatusCode, resp.Header.Get("Allow"), "GET, PUT")
 	}
 }
 
 // TestServerEviction: the server's byte budget evicts least-recently-served
-// entries after PUTs, and Stats reports it.
+// entries after PUTs, and /metrics reports it.
 func TestServerEviction(t *testing.T) {
 	key := Key{12}
 	body, err := encodeRecord(key, testRun())
@@ -338,12 +273,11 @@ func TestServerEviction(t *testing.T) {
 	put(k2)
 	put(k3) // budget is 2 entries: k1, the oldest, must go
 
-	st := srv.Stats()
-	if st.Entries != 2 || st.Bytes > 2*size {
-		t.Fatalf("server stats %+v: budget not enforced", st)
+	if entries, bytes := cachedSample(t, srv, "cached_store_entries"), cachedSample(t, srv, "cached_store_bytes"); entries != 2 || bytes > 2*size {
+		t.Fatalf("server: %d entries, %d bytes; budget not enforced", entries, bytes)
 	}
-	if st.EvictedEntries != 1 || st.EvictedBytes != size {
-		t.Fatalf("server stats %+v: want 1 evicted entry of %d bytes", st, size)
+	if n, b := cachedSample(t, srv, "cached_evicted_entries_total"), cachedSample(t, srv, "cached_evicted_bytes_total"); n != 1 || b != size {
+		t.Fatalf("server: %d evicted entries of %d bytes; want 1 of %d bytes", n, b, size)
 	}
 	if _, err := os.Stat(filepath.Join(srv.dir, LiveVersion(), k1.String()+".json")); !os.IsNotExist(err) {
 		t.Fatal("oldest entry survived over-budget PUTs")
@@ -365,9 +299,9 @@ func TestServerEviction(t *testing.T) {
 	}
 }
 
-// TestServerStatsEndpoint: a client's write-back shows up in the server's
-// counters on /metrics, the one endpoint that renders them.
-func TestServerStatsEndpoint(t *testing.T) {
+// TestServerMetricsCountWriteBack: a client's write-back shows up in the
+// server's counters on /metrics, the one endpoint that renders them.
+func TestServerMetricsCountWriteBack(t *testing.T) {
 	_, ts := newTestServer(t, 0)
 	a := openRemoteStore(t, ts.URL)
 	if _, err := a.Do(Key{13}, func() (metrics.Run, error) { return testRun(), nil }); err != nil {
@@ -622,8 +556,8 @@ func TestRemoteLatchReprobesAndRecovers(t *testing.T) {
 		}
 	}
 	seed.Close()
-	if st := srv.Stats(); st.Puts != int64(len(keys)) {
-		t.Fatalf("server stats %+v: want %d seeded entries", st, len(keys))
+	if puts := cachedSample(t, srv, "cached_puts_total"); puts != int64(len(keys)) {
+		t.Fatalf("server: %d puts; want %d seeded entries", puts, len(keys))
 	}
 
 	s := NewMemory()
@@ -670,12 +604,12 @@ func TestRemoteLatchReprobesAndRecovers(t *testing.T) {
 		t.Fatalf("stats %+v: recovery must serve remote hits", st)
 	}
 	// Write-backs recover too: a fresh computed cell reaches the server.
-	putsBefore := srv.Stats().Puts
+	putsBefore := cachedSample(t, srv, "cached_puts_total")
 	if _, err := s.Do(Key{62}, func() (metrics.Run, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if st := srv.Stats(); st.Puts != putsBefore+1 {
-		t.Fatalf("server stats %+v: post-recovery write-back never landed", st)
+	if puts := cachedSample(t, srv, "cached_puts_total"); puts != putsBefore+1 {
+		t.Fatalf("server: %d puts after %d; post-recovery write-back never landed", puts, putsBefore)
 	}
 }

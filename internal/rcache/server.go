@@ -21,18 +21,13 @@ import (
 // and cmpsim clients.
 //
 // The resource model is deliberately dumb because the keys carry all the
-// intelligence: an entry is /cache/<version>/<key>, immutable once written,
-// with ETag = "<key>". The on-disk layout is exactly the Store's
-// (DIR/v<schema>-<shape>/<key>.json, atomic temp-file writes), so cached can
-// serve a directory a local `sweep -cache DIR` already populated, and a
-// directory cached populated can be mounted read-only as a local cache. The
-// version segment namespaces schema generations, so clients built before and
-// after a SchemaVersion bump share one server without aliasing.
-//
-// Because an entry's key is the content address of its bytes, a matching
-// If-None-Match is answered 304 without consulting the store at all: the
-// client asserting "I have <key>" is asserting it has the content, whether
-// or not this server still does.
+// intelligence: an entry is /cache/<version>/<key>, immutable once written.
+// The on-disk layout is exactly the Store's (DIR/v<schema>-<shape>/<key>.json,
+// atomic temp-file writes), so cached can serve a directory a local `sweep
+// -cache DIR` already populated, and a directory cached populated can be
+// mounted read-only as a local cache. The version segment namespaces schema
+// generations, so clients built before and after a SchemaVersion bump share
+// one server without aliasing.
 //
 // A -max-bytes budget is enforced after every PUT (and at startup) by the
 // LRU in EnforceBudget; GETs refresh an entry's recency, and entries with a
@@ -48,9 +43,9 @@ type Server struct {
 
 	evictMu sync.Mutex // serializes budget scans
 
-	gets, hits, misses, notModified atomic.Int64
-	puts, putBytes, badRequests     atomic.Int64
-	evictedEntries, evictedBytes    atomic.Int64
+	gets, hits, misses           atomic.Int64
+	puts, putBytes, badRequests  atomic.Int64
+	evictedEntries, evictedBytes atomic.Int64
 }
 
 // NewServer returns a handler serving dir, creating it if needed. A
@@ -67,14 +62,13 @@ func NewServer(dir string, maxBytes int64) (*Server, error) {
 	return s, nil
 }
 
-// registerMetrics exposes the server's counters as the cached_* family —
-// the same numbers Stats snapshots, rendered in the exposition format for
-// /metrics. The store-size gauges walk the directory at scrape time.
+// registerMetrics exposes the server's counters as the cached_* family,
+// rendered in the exposition format for /metrics — the one surface its
+// counters have. The store-size gauges walk the directory at scrape time.
 func (s *Server) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("cached_gets_total", "", "entry reads attempted against the store", s.gets.Load)
 	r.CounterFunc("cached_hits_total", "", "entry reads served from the store", s.hits.Load)
 	r.CounterFunc("cached_misses_total", "", "entry reads that found nothing", s.misses.Load)
-	r.CounterFunc("cached_not_modified_total", "", "conditional requests answered 304", s.notModified.Load)
 	r.CounterFunc("cached_puts_total", "", "entries accepted and written", s.puts.Load)
 	r.CounterFunc("cached_put_bytes_total", "", "entry bytes accepted and written", s.putBytes.Load)
 	r.CounterFunc("cached_bad_requests_total", "", "malformed requests rejected", s.badRequests.Load)
@@ -88,41 +82,6 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 		func() float64 { _, b := s.storeSize(); return float64(b) })
 	r.GaugeFunc("cached_uptime_seconds", "", "seconds since server start",
 		func() float64 { return obs.Since(s.start).Seconds() })
-}
-
-// ServerStats is a snapshot of a server's counters. Counter fields are
-// cumulative since boot; Entries/Bytes are the store's current contents.
-type ServerStats struct {
-	Gets           int64
-	Hits           int64
-	Misses         int64
-	NotModified    int64
-	Puts           int64
-	PutBytes       int64
-	BadRequests    int64
-	EvictedEntries int64
-	EvictedBytes   int64
-	Entries        int64
-	Bytes          int64
-	MaxBytes       int64
-}
-
-// Stats snapshots the counters and walks the store for its current size.
-func (s *Server) Stats() ServerStats {
-	st := ServerStats{
-		Gets:           s.gets.Load(),
-		Hits:           s.hits.Load(),
-		Misses:         s.misses.Load(),
-		NotModified:    s.notModified.Load(),
-		Puts:           s.puts.Load(),
-		PutBytes:       s.putBytes.Load(),
-		BadRequests:    s.badRequests.Load(),
-		EvictedEntries: s.evictedEntries.Load(),
-		EvictedBytes:   s.evictedBytes.Load(),
-		MaxBytes:       s.maxBytes,
-	}
-	st.Entries, st.Bytes = s.storeSize()
-	return st
 }
 
 // storeSize walks the store for its current entry count and byte total.
@@ -162,12 +121,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch r.Method {
-	case http.MethodGet, http.MethodHead:
-		s.serveGet(w, r, version, key)
+	case http.MethodGet:
+		s.serveGet(w, version, key)
 	case http.MethodPut:
 		s.servePut(w, r, version, key)
 	default:
-		w.Header().Set("Allow", "GET, HEAD, PUT")
+		w.Header().Set("Allow", "GET, PUT")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
 }
@@ -175,15 +134,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveMetrics renders the registry in the Prometheus text exposition
 // format.
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET, HEAD")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowGet(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", obs.TextContentType)
-	if r.Method == http.MethodHead {
-		return
-	}
 	s.reg.WriteText(w)
 }
 
@@ -200,15 +154,10 @@ type Health struct {
 // on it before starting clients, so it must not walk the store or take any
 // lock a slow request could hold.
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET, HEAD")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowGet(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if r.Method == http.MethodHead {
-		return
-	}
 	json.NewEncoder(w).Encode(Health{
 		Status:        "ok",
 		UptimeSeconds: obs.Since(s.start).Seconds(),
@@ -216,19 +165,17 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) serveGet(w http.ResponseWriter, r *http.Request, version, key string) {
-	etag := `"` + key + `"`
-	inm := r.Header.Get("If-None-Match")
-	w.Header().Set("ETag", etag)
-	if etagMatches(inm, etag) {
-		// Content-addressed shortcut: the client holding <key> holds the
-		// content; no need to check whether we still do. (Only for a
-		// concrete tag — If-None-Match: * asserts server-side existence,
-		// RFC 9110 §13.1.2, and is checked against the store below.)
-		s.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
-		return
+// allowGet answers 405 to anything but GET on a side-band endpoint.
+func allowGet(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodGet {
+		return true
 	}
+	w.Header().Set("Allow", "GET")
+	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	return false
+}
+
+func (s *Server) serveGet(w http.ResponseWriter, version, key string) {
 	s.gets.Add(1)
 	path := filepath.Join(s.dir, version, key+".json")
 	b, err := os.ReadFile(path)
@@ -240,16 +187,8 @@ func (s *Server) serveGet(w http.ResponseWriter, r *http.Request, version, key s
 	s.hits.Add(1)
 	now := time.Now()
 	os.Chtimes(path, now, now) // refresh recency for the LRU
-	if strings.TrimSpace(inm) == "*" {
-		s.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	if r.Method == http.MethodHead {
-		return
-	}
 	w.Write(b)
 }
 
@@ -352,24 +291,4 @@ func isKeyName(s string) bool {
 		}
 	}
 	return true
-}
-
-// etagMatches implements the If-None-Match list for concrete validators:
-// any listed tag equal to etag (weak validators compare equal — the bytes
-// behind a key never differ). Bare unquoted keys are accepted for curl
-// convenience. "*" is deliberately not handled here: it asserts that the
-// server currently holds a representation, so serveGet answers it only
-// after finding the entry.
-func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
-		if part == etag || `"`+part+`"` == etag {
-			return true
-		}
-	}
-	return false
 }

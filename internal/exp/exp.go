@@ -53,10 +53,12 @@ var Tracer *obs.Tracer
 // InstancePool memoizes built workload instances below the cell cache: an
 // rcache miss still reuses the (reset) instance a sibling scheduler arm
 // already built for the same spec, halving-or-better cold-sweep build work.
-// A pooled reuse is invisible in results — Instance.Reset restores the
-// build-time bytes, so output is byte-identical with the pool on or off
-// (TestPooledMatchesUnpooled). nil disables pooling (every run builds
-// fresh); the cold-sweep benchmark pair flips this.
+// RunGridStream announces every cell's acquire to it up front and withdraws
+// what the cells never acquire, so an idle copy lives only while a pending
+// cell wants its spec. A pooled reuse is invisible in results —
+// Instance.Reset restores the build-time bytes, so output is byte-identical
+// with the pool on or off (TestPooledMatchesUnpooled). nil disables pooling
+// (every run builds fresh); the cold-sweep benchmark pair flips this.
 var InstancePool = workloads.DefaultPool
 
 // runCell simulates one grid cell, consulting the injected cache when
@@ -73,20 +75,32 @@ var InstancePool = workloads.DefaultPool
 // timing the execution phases. The registry path passes the package-level
 // Tracer, while the job service (internal/jobs) hands every grid its own
 // per-job tracer so one service process can attribute spans to submissions.
+//
+// The caller has announced the cell's acquire to InstancePool; runCell
+// settles it. Simulating acquires (and so consumes it), and any other
+// resolution — a hit in any cache tier, or a singleflight wait on another
+// cell's flight — withdraws it.
 func runCell(c grid.Cell, quick bool, tr *obs.Tracer) (r metrics.Run, err error) {
+	computed := false
+	defer func() {
+		if !computed {
+			InstancePool.Withdraw(c.Spec)
+		}
+	}()
 	sp := tr.StartSpan(c.Spec.String(), c.Config.Name, c.Sched, quick)
 	defer sp.Finish()
 	labels := pprof.Labels("workload", c.Spec.Name, "config", c.Config.Name, "sched", c.Sched)
 	pprof.Do(context.Background(), labels, func(context.Context) {
+		compute := func() (metrics.Run, error) {
+			computed = true
+			return RunOneSeeded(c.Config, c.Spec, c.Sched, Seed, sp)
+		}
 		if Cache == nil {
 			sp.SetOutcome("uncached")
-			r, err = RunOneSeeded(c.Config, c.Spec, c.Sched, Seed, sp)
+			r, err = compute()
 			return
 		}
-		key := rcache.KeyOf(c.Config, c.Spec, c.Sched, Seed, quick)
-		r, err = Cache.DoSpan(key, sp, func() (metrics.Run, error) {
-			return RunOneSeeded(c.Config, c.Spec, c.Sched, Seed, sp)
-		})
+		r, err = Cache.DoSpan(rcache.KeyOf(c.Config, c.Spec, c.Sched, Seed, quick), sp, compute)
 	})
 	return r, err
 }
@@ -144,9 +158,11 @@ type Result struct {
 // An experiment produces a Result. quick mode shrinks problem sizes by ~8x
 // so the whole suite runs inside `go test`; published numbers use full mode.
 // Every experiment but one is declarative: grid builds the scenario Grid for
-// the requested mode and RunGrid executes it. t4-multiprog alone keeps a
-// bespoke run function: it time-slices two engines over one shared
-// hierarchy, so its cells are not independent.
+// the requested mode and RunGrid executes it. a5-premature's run function
+// only wraps its grid, whose labels need a DAG analysis on a pooled
+// instance first. t4-multiprog alone keeps a bespoke run function: it
+// time-slices two engines over one shared hierarchy, so its cells are not
+// independent.
 type experiment struct {
 	id   string
 	desc string
@@ -167,7 +183,7 @@ var registry = []experiment{
 	{id: "a2-l2size", desc: "Ablation: L2 capacity sweep at 16 cores", grid: gridA2L2Size},
 	{id: "a3-bandwidth", desc: "Ablation: off-chip bandwidth sweep at 16 cores", grid: gridA3Bandwidth},
 	{id: "a4-stealpolicy", desc: "Ablation: scheduler policy variants", grid: gridA4Policies},
-	{id: "a5-premature", desc: "Premature nodes: the SPAA'04 working-set bound, measured", grid: gridA5Premature},
+	{id: "a5-premature", desc: "Premature nodes: the SPAA'04 working-set bound, measured", run: runA5Premature},
 }
 
 // IDs lists experiment ids in canonical order.
@@ -229,12 +245,32 @@ func RunGrid(g *grid.Grid, quick bool) (*Result, error) {
 //     canonical order with (done, total) — done is strictly increasing, so
 //     callers can derive percent-complete without locking. It is invoked on
 //     the calling goroutine's yield path and must not block.
+//
+// Every cell's instance acquire is announced to InstancePool on entry, and
+// whatever no cell acquired is withdrawn by the time RunGridStream returns,
+// on every path. Cells of one spec are contiguous in canonical order
+// (workload is the outermost axis), so an idle copy waits only while its
+// spec's block of cells runs.
 func RunGridStream(ctx context.Context, g *grid.Grid, quick bool, tr *obs.Tracer, progress func(done, total int)) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	cells := g.Cells()
 	n := len(cells)
+	for _, c := range cells {
+		InstancePool.Expect(c.Spec)
+	}
+	// ran[i] marks cells handed to runCell, which settles their
+	// announcements; Stream has finished every job when it returns, so the
+	// deferred read needs no lock.
+	ran := make([]bool, n)
+	defer func() {
+		for i, c := range cells {
+			if !ran[i] {
+				InstancePool.Withdraw(c.Spec)
+			}
+		}
+	}()
 	jobs := make([]runner.Job[metrics.Run], n)
 	for i, c := range cells {
 		jobs[i] = func() (metrics.Run, error) {
@@ -243,6 +279,7 @@ func RunGridStream(ctx context.Context, g *grid.Grid, quick bool, tr *obs.Tracer
 			if err := ctx.Err(); err != nil {
 				return metrics.Run{}, err
 			}
+			ran[i] = true
 			return runCell(c, quick, tr)
 		}
 	}

@@ -44,11 +44,31 @@ func runT4Multiprog(quick bool) (*Result, error) {
 		row  []any
 		runs []metrics.Run
 	}
+	specA := workloads.Spec{Name: "mergesort", N: sizing(1<<19, quick), Grain: 2048, Seed: Seed, SpaceID: 0}
+	specB := workloads.Spec{Name: "scan", N: sizing(1<<21, quick), Grain: 4096, Seed: Seed + 1, SpaceID: 1}
 	scheds := []string{"pdf", "ws"}
+	// Each arm acquires both programs: announce them all, so the first
+	// arm's released copies stay idle for the second, and withdraw the
+	// acquires of an arm that never started (runner.Map skips the rest
+	// after an error).
+	for range scheds {
+		InstancePool.Expect(specA)
+		InstancePool.Expect(specB)
+	}
+	started := make([]bool, len(scheds))
+	defer func() {
+		for _, s := range started {
+			if !s {
+				InstancePool.Withdraw(specA)
+				InstancePool.Withdraw(specB)
+			}
+		}
+	}()
 	jobs := make([]runner.Job[arm], len(scheds))
 	for i, sched := range scheds {
 		jobs[i] = func() (arm, error) {
-			row, runs, err := multiprogOnce(sched, cores, quantum, quick)
+			started[i] = true
+			row, runs, err := multiprogOnce(sched, specA, specB, cores, quantum)
 			return arm{row, runs}, err
 		}
 	}
@@ -63,13 +83,11 @@ func runT4Multiprog(quick bool) (*Result, error) {
 	return res, nil
 }
 
-// multiprogOnce runs one scheduler arm and returns its table row, as raw
-// cells for report.Table.AddRow, and the two programs' results.
-func multiprogOnce(sched string, cores int, quantum int64, quick bool) ([]any, []metrics.Run, error) {
+// multiprogOnce runs one scheduler arm of program A (specA) time-sliced
+// with program B (specB) and returns its table row, as raw cells for
+// report.Table.AddRow, and the two programs' results.
+func multiprogOnce(sched string, specA, specB workloads.Spec, cores int, quantum int64) ([]any, []metrics.Run, error) {
 	cfg := machine.Default(cores)
-	specA := workloads.Spec{Name: "mergesort", N: sizing(1<<19, quick), Grain: 2048, Seed: Seed, SpaceID: 0}
-	specB := workloads.Spec{Name: "scan", N: sizing(1<<21, quick), Grain: 4096, Seed: Seed + 1, SpaceID: 1}
-
 	inA := InstancePool.Acquire(specA, nil)
 	inB := InstancePool.Acquire(specB, nil)
 	inA.BeginRun()

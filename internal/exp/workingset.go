@@ -10,7 +10,7 @@ import (
 	"repro/internal/workloads"
 )
 
-// gridA5Premature measures the quantity underneath the paper's headline
+// runA5Premature measures the quantity underneath the paper's headline
 // claim. Blelloch & Gibbons (SPAA 2004) bound PDF's aggregate working set
 // by the sequential working set plus the footprint of the *premature*
 // nodes — tasks executed before their sequential turn — and prove PDF keeps
@@ -19,19 +19,28 @@ import (
 // it against the P·D bound for PDF and WS.
 //
 // The bound depends only on the DAG's shape, which is known before any cell
-// runs, so each machine point carries it as a second label.
+// runs, so each machine point of the grid carries it as a second label.
 //
 // Expected shape: PDF's high-water stays a small multiple of P (far below
 // P·D); WS's is orders of magnitude larger and tracks the dataset, not P —
 // which is exactly why its working set grows with the core count.
-func gridA5Premature(quick bool) *grid.Grid {
+func runA5Premature(quick bool) (*Result, error) {
 	spec := workloads.Spec{Name: "mergesort", N: sizing(1<<18, quick), Grain: 2048, Seed: Seed}
 	// Acquire (not Build): the analysis only reads the graph, and releasing
-	// the untouched instance seeds the pool for this experiment's own cells.
+	// the untouched instance seeds the pool for the grid's own cells. The
+	// grid announces its cells only once it runs, so a second announcement
+	// keeps the released copy idle until then and is withdrawn after.
+	InstancePool.Expect(spec)
+	InstancePool.Expect(spec)
+	defer InstancePool.Withdraw(spec)
 	in := InstancePool.Acquire(spec, nil)
 	shape := dag.Analyze(in.Graph)
 	InstancePool.Release(in)
+	return RunGrid(gridA5Premature(spec, shape, quick), quick)
+}
 
+// gridA5Premature is a5-premature's grid over spec, whose DAG has shape.
+func gridA5Premature(spec workloads.Spec, shape dag.Shape, quick bool) *grid.Grid {
 	coreCounts := []int{2, 4, 8, 16}
 	if quick {
 		coreCounts = []int{2, 8}

@@ -44,7 +44,14 @@ type family struct {
 type member struct {
 	labels string // rendered label pairs, "" for none
 	value  func() float64
-	isInt  bool // render without float formatting (counters)
+	isInt  bool  // render without float formatting (counters)
+	pair   *pair // set for a GaugePairFunc member, which samples through it
+	second bool  // the member reads the pair's second value
+}
+
+// pair is the shared sampler of two GaugePairFunc gauges.
+type pair struct {
+	f func() (float64, float64)
 }
 
 // NewRegistry returns an empty registry.
@@ -103,6 +110,16 @@ func (r *Registry) GaugeFunc(name, labels, help string, f func() float64) {
 	r.register(name, "gauge", help, member{labels: labels, value: f})
 }
 
+// GaugePairFunc registers two gauges sampled by one call of f per render,
+// which returns (first, second): for two numbers one costly read yields
+// together, such as a store's entry count and byte total from one
+// directory walk.
+func (r *Registry) GaugePairFunc(first, firstHelp, second, secondHelp string, f func() (float64, float64)) {
+	p := &pair{f: f}
+	r.register(first, "gauge", firstHelp, member{pair: p})
+	r.register(second, "gauge", secondHelp, member{pair: p, second: true})
+}
+
 // formatValue renders a sample value. Integer-valued metrics render as
 // plain integers; everything else uses the shortest exact float form, which
 // every Prometheus parser accepts.
@@ -134,6 +151,23 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	r.mu.Unlock()
 
+	// A pair is sampled once per render, by whichever of its gauges comes
+	// first.
+	pairs := map[*pair][2]float64{}
+	sample := func(m member) float64 {
+		if m.pair == nil {
+			return m.value()
+		}
+		v, ok := pairs[m.pair]
+		if !ok {
+			v[0], v[1] = m.pair.f()
+			pairs[m.pair] = v
+		}
+		if m.second {
+			return v[1]
+		}
+		return v[0]
+	}
 	for _, f := range fams {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
 			return err
@@ -144,7 +178,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 			if m.labels != "" {
 				line += "{" + m.labels + "}"
 			}
-			if _, err := fmt.Fprintf(w, "%s %s\n", line, formatValue(m.value(), m.isInt)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s %s\n", line, formatValue(sample(m), m.isInt)); err != nil {
 				return err
 			}
 		}

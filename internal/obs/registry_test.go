@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -102,3 +103,35 @@ func TestRegistryLabeledMembersCoexist(t *testing.T) {
 func zero() int64 { return 0 }
 
 func zeroF() float64 { return 0 }
+
+// TestGaugePairSampledOncePerRender: a GaugePairFunc's sampler runs once
+// per render, its two gauges read its two values, and a render that is
+// not interleaved with another's never reuses an earlier render's sample.
+func TestGaugePairSampledOncePerRender(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	r.GaugePairFunc("store_entries", "entries", "store_bytes", "bytes", func() (float64, float64) {
+		calls++
+		return float64(calls), float64(100 * calls)
+	})
+	// Sorted between the pair's members, so the pair is not sampled as
+	// one adjacent block.
+	r.GaugeFunc("store_capacity", "", "capacity", func() float64 { return 7 })
+	for render := 1; render <= 3; render++ {
+		var b strings.Builder
+		if err := r.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if calls != render {
+			t.Fatalf("render %d: sampler ran %d times in all, want once per render", render, calls)
+		}
+		for _, line := range []string{
+			"store_entries " + strconv.Itoa(render),
+			"store_bytes " + strconv.Itoa(100*render),
+		} {
+			if !strings.Contains(b.String(), line+"\n") {
+				t.Fatalf("render %d lacks %q:\n%s", render, line, b.String())
+			}
+		}
+	}
+}

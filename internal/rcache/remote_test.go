@@ -238,6 +238,61 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, PUT" {
 		t.Fatalf("HEAD on an entry: status %d Allow %q, want 405 %q", resp.StatusCode, resp.Header.Get("Allow"), "GET, PUT")
 	}
+
+	// Wrong methods are bad requests too: HEAD (above) and DELETE on an
+	// entry, and anything but GET on the side-band endpoints.
+	wrong := []struct{ method, path, allow string }{
+		{http.MethodDelete, "/cache/" + LiveVersion() + "/" + key.String(), "GET, PUT"},
+		{http.MethodPost, "/metrics", "GET"},
+		{http.MethodHead, "/healthz", "GET"},
+	}
+	for _, c := range wrong {
+		req, _ := http.NewRequest(c.method, ts.URL+c.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != c.allow {
+			t.Errorf("%s %s: status %d Allow %q, want 405 %q", c.method, c.path, resp.StatusCode, resp.Header.Get("Allow"), c.allow)
+		}
+	}
+	if bad, want := cachedSample(t, srv, "cached_bad_requests_total"), int64(len(cases)+1+len(wrong)); bad != want {
+		t.Fatalf("server: %d bad requests, want %d (the PUT cases and every 405)", bad, want)
+	}
+}
+
+// TestServerMetricsWalksStoreOnce: a /metrics scrape reports the store's
+// entries and bytes from a single directory walk.
+func TestServerMetricsWalksStoreOnce(t *testing.T) {
+	srv, ts := newTestServer(t, 0)
+	for _, k := range []Key{{1}, {2}} {
+		body, err := encodeRecord(k, testRun())
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/cache/"+LiveVersion()+"/"+k.String(), bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	for scrape := 1; scrape <= 2; scrape++ {
+		before := srv.walks.Load()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if n := srv.walks.Load() - before; n != 1 {
+			t.Errorf("scrape %d walked the store %d times, want 1", scrape, n)
+		}
+		if !strings.Contains(string(body), "cached_store_entries 2\n") {
+			t.Errorf("scrape %d: no cached_store_entries 2 line:\n%s", scrape, body)
+		}
+	}
 }
 
 // TestServerEviction: the server's byte budget evicts least-recently-served

@@ -41,7 +41,8 @@ type Server struct {
 	mu       sync.Mutex
 	inflight map[string]int // "version/key" → concurrent PUT count
 
-	evictMu sync.Mutex // serializes budget scans
+	evictMu sync.Mutex   // serializes budget scans
+	walks   atomic.Int64 // storeSize calls, so tests can count walks per scrape
 
 	gets, hits, misses           atomic.Int64
 	puts, putBytes, badRequests  atomic.Int64
@@ -64,28 +65,29 @@ func NewServer(dir string, maxBytes int64) (*Server, error) {
 
 // registerMetrics exposes the server's counters as the cached_* family,
 // rendered in the exposition format for /metrics — the one surface its
-// counters have. The store-size gauges walk the directory at scrape time.
+// counters have. The two store-size gauges share one directory walk per
+// scrape.
 func (s *Server) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("cached_gets_total", "", "entry reads attempted against the store", s.gets.Load)
 	r.CounterFunc("cached_hits_total", "", "entry reads served from the store", s.hits.Load)
 	r.CounterFunc("cached_misses_total", "", "entry reads that found nothing", s.misses.Load)
 	r.CounterFunc("cached_puts_total", "", "entries accepted and written", s.puts.Load)
 	r.CounterFunc("cached_put_bytes_total", "", "entry bytes accepted and written", s.putBytes.Load)
-	r.CounterFunc("cached_bad_requests_total", "", "malformed requests rejected", s.badRequests.Load)
+	r.CounterFunc("cached_bad_requests_total", "", "malformed or wrong-method requests rejected", s.badRequests.Load)
 	r.CounterFunc("cached_evicted_entries_total", "", "entries evicted by the byte budget", s.evictedEntries.Load)
 	r.CounterFunc("cached_evicted_bytes_total", "", "bytes reclaimed by the byte budget", s.evictedBytes.Load)
 	r.GaugeFunc("cached_max_bytes", "", "store byte budget (0 = unbounded)",
 		func() float64 { return float64(s.maxBytes) })
-	r.GaugeFunc("cached_store_entries", "", "entries currently in the store",
-		func() float64 { e, _ := s.storeSize(); return float64(e) })
-	r.GaugeFunc("cached_store_bytes", "", "bytes currently in the store",
-		func() float64 { _, b := s.storeSize(); return float64(b) })
+	r.GaugePairFunc("cached_store_entries", "entries currently in the store",
+		"cached_store_bytes", "bytes currently in the store",
+		func() (float64, float64) { e, b := s.storeSize(); return float64(e), float64(b) })
 	r.GaugeFunc("cached_uptime_seconds", "", "seconds since server start",
 		func() float64 { return obs.Since(s.start).Seconds() })
 }
 
 // storeSize walks the store for its current entry count and byte total.
 func (s *Server) storeSize() (entries, bytes int64) {
+	s.walks.Add(1)
 	versions, _ := os.ReadDir(s.dir)
 	for _, v := range versions {
 		if !v.IsDir() || !isSchemaDirName(v.Name()) {
@@ -126,6 +128,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPut:
 		s.servePut(w, r, version, key)
 	default:
+		s.badRequests.Add(1)
 		w.Header().Set("Allow", "GET, PUT")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -134,7 +137,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveMetrics renders the registry in the Prometheus text exposition
 // format.
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowGet(w, r) {
+	if !s.allowGet(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", obs.TextContentType)
@@ -154,7 +157,7 @@ type Health struct {
 // on it before starting clients, so it must not walk the store or take any
 // lock a slow request could hold.
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allowGet(w, r) {
+	if !s.allowGet(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -165,11 +168,13 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// allowGet answers 405 to anything but GET on a side-band endpoint.
-func allowGet(w http.ResponseWriter, r *http.Request) bool {
+// allowGet answers 405 to anything but GET on a side-band endpoint, and
+// counts it as a bad request.
+func (s *Server) allowGet(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method == http.MethodGet {
 		return true
 	}
+	s.badRequests.Add(1)
 	w.Header().Set("Allow", "GET")
 	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	return false

@@ -189,6 +189,8 @@ func TestPooledSortsVerifyAfterReuse(t *testing.T) {
 	for _, name := range []string{"mergesort", "quicksort"} {
 		p := NewPool(1 << 30)
 		spec := smallSpec(name)
+		p.Expect(spec) // two acquires coming: the release is wanted
+		p.Expect(spec)
 		in := p.Acquire(spec, nil)
 		runOn(t, in, 2, "pdf")
 		p.Release(in)

@@ -1,18 +1,31 @@
 package workloads
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
 )
 
-// Pool memoizes built instances by Spec.Fingerprint so the N scheduler arms
-// of one (config, spec) experiment point — and repeats of the spec across
-// experiments — share a single Build instead of reconstructing an identical
-// DAG and dataset per run. An instance handed out by Acquire is exclusively
-// owned until Release; Acquire re-arms it (Instance.Reset) before returning,
-// so a pooled instance is indistinguishable from a fresh build and results
-// stay byte-identical with the pool on or off.
+// Pool memoizes built instances by Spec (equal Specs build identical
+// instances) so the N scheduler arms of one (config, spec) experiment point
+// — and the later cells of a grid that repeat the spec — share a single
+// Build instead of reconstructing an identical DAG and dataset per run. An
+// instance handed out by Acquire is exclusively owned until Release;
+// Acquire re-arms it (Instance.Reset) before returning, so a pooled
+// instance is indistinguishable from a fresh build and results stay
+// byte-identical with the pool on or off.
+//
+// Idle copies are kept for announced demand only. A caller announces each
+// acquire it will make (Expect); Acquire consumes one announcement, and a
+// caller that resolves its work without acquiring (a cell-cache hit, a
+// cancelled cell) withdraws one (Withdraw). Release deposits a copy only
+// while the spec's outstanding demand exceeds its idle copies, and drops it
+// otherwise (wpool_unwanted_total); a withdrawal that leaves more idle
+// copies than demand drops the excess the same way. So a spec's idle copies
+// never outnumber the acquires still coming for it, and an instance nothing
+// will ask for again is garbage at once instead of sitting idle. Unannounced
+// acquires (cmpsim's single cell) still work; their releases just drop.
 //
 // Contention policy: when a caller wants a spec whose every copy is checked
 // out (or still building), Acquire builds a private copy immediately instead
@@ -25,23 +38,26 @@ import (
 // acquires — and the contended-build count is surfaced as
 // wpool_contended_total so the trade-off stays observable.
 //
-// Instances are megabytes each, so the idle side of the pool is bounded by a
-// byte budget: Release deposits a copy only while the estimated idle bytes
-// fit, evicting least-recently-released instances (across all keys) to make
-// room, and counting every eviction. Checked-out instances never count
-// against the budget — they are alive regardless of pooling.
+// Instances are megabytes each, so the idle side of the pool is also bounded
+// by a byte budget, a backstop behind demand: Release deposits a wanted copy
+// only while the estimated idle bytes fit, evicting least-recently-released
+// instances (across all keys) to make room, and counting every eviction.
+// Checked-out instances never count against the budget — they are alive
+// regardless of pooling.
 type Pool struct {
-	mu      sync.Mutex
-	budget  uint64
-	seq     uint64
-	size    uint64 // estimated bytes of idle instances
-	idle    map[string][]pooled
-	out     map[string]int // checked-out copies per key, for the contended stat
-	hits    int64
-	misses  int64
-	cont    int64
-	evicts  int64
-	dropped int64
+	mu       sync.Mutex
+	budget   uint64
+	seq      uint64
+	size     uint64 // estimated bytes of idle instances
+	idle     map[Spec][]pooled
+	out      map[Spec]int // checked-out copies per key, for the contended stat
+	want     map[Spec]int // announced acquires not yet made or withdrawn, per key
+	hits     int64
+	misses   int64
+	cont     int64
+	evicts   int64
+	dropped  int64
+	unwanted int64
 }
 
 // pooled is one idle instance with its LRU sequence and size estimate.
@@ -51,10 +67,10 @@ type pooled struct {
 	cost uint64
 }
 
-// DefaultPoolBudget bounds DefaultPool's idle instances. The full-size sweep
-// touches ~20 distinct specs totalling well under this, so in practice
-// nothing evicts; the budget exists so pathological sweeps (many huge specs)
-// degrade to bounded memory rather than holding every instance ever built.
+// DefaultPoolBudget bounds DefaultPool's idle instances. Demand keeps far
+// fewer idle than this (a grid's specs, one block at a time); the budget
+// exists so pathological announcements (many huge specs wanted at once)
+// degrade to bounded memory rather than holding every copy wanted.
 const DefaultPoolBudget = 256 << 20
 
 // DefaultPool is the process-wide instance pool the experiment layer routes
@@ -65,8 +81,9 @@ var DefaultPool = NewPool(DefaultPoolBudget)
 func NewPool(budgetBytes uint64) *Pool {
 	return &Pool{
 		budget: budgetBytes,
-		idle:   map[string][]pooled{},
-		out:    map[string]int{},
+		idle:   map[Spec][]pooled{},
+		out:    map[Spec]int{},
+		want:   map[Spec]int{},
 	}
 }
 
@@ -80,10 +97,52 @@ func instanceCost(in *Instance) uint64 {
 	return 2*in.Space.TrackedBytes() + nodeCost*uint64(in.Graph.Len())
 }
 
+// Expect announces one acquire of spec that the caller will make later, or
+// withdraw. Until then a released copy of spec may stay idle for it.
+// Announcing to a nil pool is a no-op.
+func (p *Pool) Expect(spec Spec) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.want[spec]++
+}
+
+// Withdraw takes back one announcement of spec that no acquire will
+// consume, and drops idle copies of spec that outnumber the demand left.
+// Withdrawing with nothing announced, or from a nil pool, is a no-op.
+func (p *Pool) Withdraw(spec Spec) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.consume(spec)
+	for len(p.idle[spec]) > p.want[spec] {
+		p.removeIdle(spec, 0) // oldest first: idle copies are in release order
+		p.unwanted++
+	}
+}
+
+// consume retires one announcement of key, if any. Called with p.mu held.
+func (p *Pool) consume(key Spec) {
+	if p.want[key]--; p.want[key] <= 0 {
+		delete(p.want, key)
+	}
+}
+
+// checkIn ends one checkout of key. Called with p.mu held.
+func (p *Pool) checkIn(key Spec) {
+	if p.out[key]--; p.out[key] <= 0 {
+		delete(p.out, key)
+	}
+}
+
 // Acquire returns an armed instance of spec, reusing an idle pooled copy
-// when one exists and building otherwise. The caller owns the instance
-// exclusively until Release. A nil pool always builds fresh (the pool-off
-// escape hatch for benchmarks and tests).
+// when one exists and building otherwise, and consumes one announcement of
+// spec. The caller owns the instance exclusively until Release. A nil pool
+// always builds fresh (the pool-off escape hatch for benchmarks and tests).
 //
 // sp is an optional cell span (nil records nothing): pool bookkeeping is
 // timed as its pool-acquire phase, and the arming work as its reset phase
@@ -96,15 +155,13 @@ func (p *Pool) Acquire(spec Spec, sp *obs.Span) *Instance {
 		return Build(spec)
 	}
 	endAcq := sp.StartPhase(obs.PhasePoolAcquire)
-	key := spec.Fingerprint()
 	p.mu.Lock()
-	if free := p.idle[key]; len(free) > 0 {
+	p.consume(spec)
+	if free := p.idle[spec]; len(free) > 0 {
 		// Most-recently-released first: its data is likeliest still warm in
 		// the host caches, and LRU eviction wants the old end anyway.
-		e := free[len(free)-1]
-		p.idle[key] = free[:len(free)-1]
-		p.size -= e.cost
-		p.out[key]++
+		e := p.removeIdle(spec, len(free)-1)
+		p.out[spec]++
 		p.hits++
 		p.mu.Unlock()
 		endAcq()
@@ -114,10 +171,10 @@ func (p *Pool) Acquire(spec Spec, sp *obs.Span) *Instance {
 		return e.in
 	}
 	p.misses++
-	if p.out[key] > 0 {
+	if p.out[spec] > 0 {
 		p.cont++
 	}
-	p.out[key]++
+	p.out[spec]++
 	p.mu.Unlock()
 	endAcq()
 	endBuild := sp.StartPhase(obs.PhaseBuild)
@@ -125,20 +182,24 @@ func (p *Pool) Acquire(spec Spec, sp *obs.Span) *Instance {
 	return Build(spec)
 }
 
-// Release returns an instance to the pool's idle set for later reuse,
-// evicting least-recently-released instances if the byte budget requires
-// it. Do not release an instance whose run failed verification — drop it
-// instead. Releasing to a nil pool is a no-op.
+// Release returns an instance to the pool's idle set while an announced
+// acquire of its spec has no idle copy waiting for it, evicting
+// least-recently-released instances if the byte budget requires it; with no
+// such acquire pending it drops the instance. Do not release an instance
+// whose run failed verification — Discard it instead. Releasing to a nil
+// pool is a no-op.
 func (p *Pool) Release(in *Instance) {
 	if p == nil {
 		return
 	}
-	key := in.Spec.Fingerprint()
+	key := in.Spec
 	cost := instanceCost(in)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.out[key] > 0 {
-		p.out[key]--
+	p.checkIn(key)
+	if len(p.idle[key]) >= p.want[key] {
+		p.unwanted++
+		return
 	}
 	if cost > p.budget {
 		p.dropped++
@@ -161,12 +222,9 @@ func (p *Pool) Discard(in *Instance) {
 	if p == nil {
 		return
 	}
-	key := in.Spec.Fingerprint()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.out[key] > 0 {
-		p.out[key]--
-	}
+	p.checkIn(in.Spec)
 }
 
 // evictOldest removes the idle instance with the smallest sequence number.
@@ -174,7 +232,7 @@ func (p *Pool) Discard(in *Instance) {
 // Called with p.mu held; the budget check in Release guarantees the pool is
 // non-empty when invoked.
 func (p *Pool) evictOldest() {
-	bestKey := ""
+	var bestKey Spec
 	bestIdx := -1
 	var bestSeq uint64
 	for k, free := range p.idle {
@@ -187,13 +245,23 @@ func (p *Pool) evictOldest() {
 	if bestIdx == -1 {
 		panic("workloads: pool eviction with no idle instances")
 	}
-	free := p.idle[bestKey]
-	p.size -= free[bestIdx].cost
-	p.idle[bestKey] = append(free[:bestIdx], free[bestIdx+1:]...)
-	if len(p.idle[bestKey]) == 0 {
-		delete(p.idle, bestKey)
-	}
+	p.removeIdle(bestKey, bestIdx)
 	p.evicts++
+}
+
+// removeIdle takes copy i of key out of the idle set. slices.Delete clears
+// the vacated slot, so the backing array never pins a dropped instance.
+// Called with p.mu held.
+func (p *Pool) removeIdle(key Spec, i int) pooled {
+	free := p.idle[key]
+	e := free[i]
+	if free = slices.Delete(free, i, i+1); len(free) == 0 {
+		delete(p.idle, key)
+	} else {
+		p.idle[key] = free
+	}
+	p.size -= e.cost
+	return e
 }
 
 // RegisterMetrics exposes the pool's counters on a registry as the wpool_*
@@ -217,6 +285,18 @@ func (p *Pool) RegisterMetrics(r *obs.Registry) {
 		read(func() int64 { return p.evicts }))
 	r.CounterFunc("wpool_dropped_total", "", "released instances too large to ever deposit",
 		read(func() int64 { return p.dropped }))
+	r.CounterFunc("wpool_unwanted_total", "", "released or idle instances dropped because no announced acquire wanted them",
+		read(func() int64 { return p.unwanted }))
+	r.GaugeFunc("wpool_demand", "", "announced acquires not yet made or withdrawn",
+		func() float64 {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			n := 0
+			for _, w := range p.want {
+				n += w
+			}
+			return float64(n)
+		})
 	r.GaugeFunc("wpool_idle_instances", "", "instances currently idle in the pool",
 		func() float64 {
 			p.mu.Lock()

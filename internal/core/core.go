@@ -66,9 +66,6 @@ type Scheduler interface {
 	Push(from CoreID, n *dag.Node)
 	Pop(c CoreID) (n *dag.Node, overhead int64)
 	Stats() Stats
-	// QueuedLen reports the number of currently queued ready tasks,
-	// used by invariant checks in tests.
-	QueuedLen() int
 }
 
 // Overheads are the dispatch cost knobs, taken from machine.Config.
@@ -121,9 +118,6 @@ func (p *PDF) Pop(c CoreID) (*dag.Node, int64) {
 
 // Stats implements Scheduler.
 func (p *PDF) Stats() Stats { return p.stats }
-
-// QueuedLen implements Scheduler.
-func (p *PDF) QueuedLen() int { return p.heap.Len() }
 
 // ---------------------------------------------------------------------------
 // WS
@@ -215,15 +209,6 @@ func (w *WS) Pop(c CoreID) (*dag.Node, int64) {
 // Stats implements Scheduler.
 func (w *WS) Stats() Stats { return w.stats }
 
-// QueuedLen implements Scheduler.
-func (w *WS) QueuedLen() int {
-	total := 0
-	for i := range w.deques {
-		total += w.deques[i].Len()
-	}
-	return total
-}
-
 // ---------------------------------------------------------------------------
 // Central FIFO (ablation strawman)
 
@@ -267,9 +252,6 @@ func (f *FIFO) Pop(c CoreID) (*dag.Node, int64) {
 
 // Stats implements Scheduler.
 func (f *FIFO) Stats() Stats { return f.stats }
-
-// QueuedLen implements Scheduler.
-func (f *FIFO) QueuedLen() int { return f.q.Len() }
 
 // ---------------------------------------------------------------------------
 

@@ -202,6 +202,18 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
+// drain pops from core 0 until the scheduler finds no work and returns how
+// many tasks it handed out; WS steals every other core's deque empty.
+func drain(s Scheduler) int {
+	n := 0
+	for {
+		if t, _ := s.Pop(0); t == nil {
+			return n
+		}
+		n++
+	}
+}
+
 func TestQueuedLen(t *testing.T) {
 	g, kids := wideGraph(5)
 	for _, s := range []Scheduler{NewPDF(testOverheads), NewWS(testOverheads, 1), NewFIFO(1)} {
@@ -209,12 +221,14 @@ func TestQueuedLen(t *testing.T) {
 		for i, k := range kids {
 			s.Push(CoreID(i%2), k)
 		}
-		if s.QueuedLen() != 5 {
-			t.Fatalf("%s QueuedLen = %d, want 5", s.Name(), s.QueuedLen())
+		if n, _ := s.Pop(0); n == nil {
+			t.Fatalf("%s Pop found none of 5 queued", s.Name())
 		}
-		s.Pop(0)
-		if s.QueuedLen() != 4 {
-			t.Fatalf("%s QueuedLen after pop = %d", s.Name(), s.QueuedLen())
+		if left := drain(s); left != 4 {
+			t.Fatalf("%s queued after pop = %d, want 4", s.Name(), left)
+		}
+		if st := s.Stats(); st.Pushes != 5 || st.Pops != 5 {
+			t.Fatalf("%s stats %+v: want 5 pushes and 5 pops", s.Name(), st)
 		}
 	}
 }
@@ -227,11 +241,11 @@ func TestResetClearsState(t *testing.T) {
 			s.Push(0, k)
 		}
 		s.Reset(2, g)
-		if s.QueuedLen() != 0 {
-			t.Fatalf("%s Reset left %d queued", s.Name(), s.QueuedLen())
-		}
 		if s.Stats().Pushes != 0 {
 			t.Fatalf("%s Reset left stats", s.Name())
+		}
+		if n := drain(s); n != 0 {
+			t.Fatalf("%s Reset left %d queued", s.Name(), n)
 		}
 	}
 }
@@ -257,7 +271,7 @@ func TestWSResetReusesDeques(t *testing.T) {
 	w.Reset(4, g)
 	w.Push(0, kids[0])
 	w.Reset(4, g) // same core count: reuse
-	if w.QueuedLen() != 0 {
+	if drain(w) != 0 {
 		t.Fatal("reused deques not cleared")
 	}
 	w.Reset(2, g) // different core count: reallocate

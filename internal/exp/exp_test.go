@@ -42,19 +42,15 @@ func TestRunOneVerifies(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRunsQuick executes the entire suite in quick mode —
-// the reproduction's end-to-end smoke test.
+// TestEveryExperimentRunsQuick checks the shape of every experiment in the
+// quick-suite reference — the reproduction's end-to-end smoke test.
 func TestEveryExperimentRunsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick suite still simulates tens of millions of cycles")
 	}
 	for _, id := range IDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
-			res, err := Run(id, true)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := reference(t, id).res
 			if res.ID != id {
 				t.Fatalf("result id %q", res.ID)
 			}
@@ -103,16 +99,14 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
+// TestT2NeutralQuick reads t2-neutral from the quick-suite reference: every
+// row's pdf/ws speedup stays in the neutral band.
 func TestT2NeutralQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := Run("t2-neutral", true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Columns: workload, cores, pdf cycles, ws cycles, pdf/ws speedup, ...
-	for _, row := range res.Tables[0].Rows {
+	for _, row := range reference(t, "t2-neutral").res.Tables[0].Rows {
 		rel := parseFloat(t, row[4])
 		if rel < 0.8 || rel > 1.35 {
 			t.Errorf("%s: relative speedup %.3f outside the neutral band", row[0], rel)

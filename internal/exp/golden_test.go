@@ -8,10 +8,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rcache"
+	"repro/internal/runner"
+	"repro/internal/workloads"
 )
 
 var (
@@ -19,7 +24,79 @@ var (
 	updateFull = flag.Bool("update-full", false, "rewrite testdata/fullsize.sha256 (simulates the FULL-SIZE suite: minutes, or set REPRO_FULLSIZE_CACHE to a warm -cache dir)")
 )
 
-// TestGoldenTables compares every quick-mode experiment table against the
+// quickRun is one experiment of the shared quick-suite reference.
+type quickRun struct {
+	res *Result
+	out string // render(res): the bytes its golden file holds
+}
+
+// refParallel is the reference's worker count.
+var refParallel = runtime.GOMAXPROCS(0)
+
+// quickSuite is the cold quick suite, simulated once per test binary, on
+// first use: all experiments streamed through the runner as cmd/sweep runs
+// them, at refParallel workers with no cache, no instance pool, no tracer
+// and no remote tier. TestGoldenTables pins it to testdata/; every
+// byte-identity test renders only the setting it varies and compares that
+// with it. The run sets the four package globals and restores them after;
+// no exp test calls t.Parallel, so nothing else reads them meanwhile.
+var quickSuite = sync.OnceValues(func() (map[string]quickRun, error) {
+	defer func(p int, c *rcache.Store, pool *workloads.Pool, tr *obs.Tracer) {
+		Parallelism, Cache, InstancePool, Tracer = p, c, pool, tr
+	}(Parallelism, Cache, InstancePool, Tracer)
+	Parallelism, Cache, InstancePool, Tracer = refParallel, nil, nil, nil
+
+	ids := IDs()
+	jobs := make([]runner.Job[*Result], len(ids))
+	for i, id := range ids {
+		jobs[i] = func() (*Result, error) { return Run(id, true) }
+	}
+	results, err := runner.Map(refParallel, jobs)
+	if err != nil {
+		return nil, err
+	}
+	runs := map[string]quickRun{}
+	for i, res := range results {
+		runs[ids[i]] = quickRun{res, render(res)}
+	}
+	return runs, nil
+})
+
+// reference returns experiment id's run in the quick-suite reference.
+func reference(t *testing.T, id string) quickRun {
+	t.Helper()
+	runs, err := quickSuite()
+	if err != nil {
+		t.Fatalf("quick-suite reference: %v", err)
+	}
+	return runs[id]
+}
+
+// render flattens every table of a result, aligned then CSV, so comparisons
+// are over the exact bytes a consumer would see.
+func render(res *Result) string {
+	var out string
+	for _, tbl := range res.Tables {
+		out += tbl.String() + tbl.CSV()
+	}
+	return out
+}
+
+// renderAll runs one quick experiment under the current globals and
+// renders it: the varied side of a byte-identity test.
+func renderAll(t *testing.T, id string) string {
+	t.Helper()
+	res, err := Run(id, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Runs) == 0 {
+		t.Fatalf("%s: no raw runs", id)
+	}
+	return render(res)
+}
+
+// TestGoldenTables compares the quick-suite reference against the
 // checked-in expectation under testdata/, so numeric drift — a changed
 // latency constant, an altered scheduler tie-break, a float formatting
 // change — fails CI rather than slipping into EXPERIMENTS.md unnoticed.
@@ -27,20 +104,14 @@ var (
 //
 //	go test ./internal/exp -run TestGoldenTables -update
 //
-// and review the diff like any other code change. The suite runs with an
-// in-memory result cache: cells shared between experiments (e.g. the two
-// fig1 panels) simulate once, and TestCachedMatchesUncached separately
-// guarantees cached output equals uncached output.
+// and review the diff like any other code change.
 func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	defer func(old *rcache.Store) { Cache = old }(Cache)
-	Cache = rcache.NewMemory()
-
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			got := []byte(renderAll(t, id))
+			got := []byte(reference(t, id).out)
 			path := filepath.Join("testdata", id+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o777); err != nil {

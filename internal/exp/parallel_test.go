@@ -1,37 +1,19 @@
 package exp
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/rcache"
 )
 
-// renderAll flattens every table of a result (aligned and CSV forms) so the
-// comparison below is over the exact bytes a consumer would see.
-func renderAll(t *testing.T, id string) string {
-	t.Helper()
-	res, err := Run(id, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out string
-	for _, tbl := range res.Tables {
-		out += tbl.String() + tbl.CSV()
-	}
-	if len(res.Runs) == 0 {
-		t.Fatalf("%s: no raw runs", id)
-	}
-	return out
-}
-
 // TestParallelMatchesSerial asserts the tentpole guarantee: running the
 // experiment suite through the runner at any parallelism yields output
-// byte-identical to the serial path. fig1-misses exercises the paired
-// pdf/ws sweep shape, a4-stealpolicy the one-run-per-row shape, and
-// t4-multiprog the bespoke two-arm fan-out (each arm owns a stateful
-// engine pair, so any shared mutable state between arms would show up
-// here as serial/parallel divergence).
+// byte-identical to the serial path. Serial, 2 and 8 workers are each
+// compared with the quick-suite reference, which ran at GOMAXPROCS.
+// fig1-misses exercises the paired pdf/ws sweep shape, a4-stealpolicy the
+// one-run-per-row shape, and t4-multiprog the bespoke two-arm fan-out (each
+// arm owns a stateful engine pair, so any shared mutable state between arms
+// would show up here as serial/parallel divergence).
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -39,72 +21,71 @@ func TestParallelMatchesSerial(t *testing.T) {
 	defer func(old int) { Parallelism = old }(Parallelism)
 
 	for _, id := range []string{"fig1-misses", "a4-stealpolicy", "t4-multiprog"} {
-		Parallelism = 1
-		serial := renderAll(t, id)
-		for _, p := range []int{2, runtime.GOMAXPROCS(0), 8} {
+		want := reference(t, id).out
+		for _, p := range []int{1, 2, 8} {
+			if p == refParallel {
+				continue
+			}
 			Parallelism = p
-			if got := renderAll(t, id); got != serial {
-				t.Errorf("%s: output at Parallelism=%d differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					id, p, serial, got)
+			if got := renderAll(t, id); got != want {
+				t.Errorf("%s: output at Parallelism=%d differs from the reference at %d:\n--- reference ---\n%s\n--- got ---\n%s",
+					id, p, refParallel, want, got)
 			}
 		}
 	}
 }
 
 // TestCachedMatchesUncached asserts the cache's core guarantee: experiment
-// output is byte-identical with the cache off, cold, and warm, at every
-// parallelism level — a cached Run is exactly the record a fresh simulation
-// would produce. It also pins the warm-sweep accounting the CI smoke job
-// relies on: a repeat visit of the same cells must be all hits, whether they
-// come from the in-process map or from a reopened disk store.
+// output from a cold, a memory-warm and a disk-warm store is byte-identical
+// to the uncached reference, at serial and parallel fan-out — a cached Run
+// is exactly the record a fresh simulation would produce. It also pins the
+// warm-sweep accounting the CI smoke job relies on: a repeat visit of the
+// same cells must be all hits, whether they come from the in-process map or
+// from a reopened disk store.
 func TestCachedMatchesUncached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
+	const id = "fig1-misses"
+	want := reference(t, id).out
 	defer func(old int) { Parallelism = old }(Parallelism)
 	defer func(old *rcache.Store) { Cache = old }(Cache)
 
-	const id = "fig1-misses"
-	Cache = nil
-	Parallelism = 1
-	uncached := renderAll(t, id)
-
-	// Cold memory store, serial: first visit simulates every cell.
-	Cache = rcache.NewMemory()
-	if got := renderAll(t, id); got != uncached {
-		t.Errorf("%s: cold cached output differs from uncached:\n--- uncached ---\n%s\n--- cached ---\n%s", id, uncached, got)
-	}
-	if st := Cache.Stats(); st.Hits() != 0 || st.Misses == 0 {
-		t.Errorf("cold pass stats %+v: expected only misses", st)
-	}
-
-	// Warm, parallel: same store, every cell must hit, bytes must not move.
-	misses := Cache.Stats().Misses
-	Parallelism = 8
-	if got := renderAll(t, id); got != uncached {
-		t.Errorf("%s: warm cached output differs from uncached", id)
-	}
-	if st := Cache.Stats(); st.Misses != misses {
-		t.Errorf("warm pass re-simulated cells: stats %+v", st)
-	}
-
-	// Disk round trip: populate one store, reopen the directory in a fresh
-	// store (empty memory tier), and replay — all disk hits, same bytes.
+	// Cold store, serial: first visit simulates every cell and writes it
+	// through to disk.
 	dir := t.TempDir()
 	s1, err := rcache.Open(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	Cache = s1
-	if got := renderAll(t, id); got != uncached {
-		t.Errorf("%s: disk-cold output differs from uncached", id)
+	Parallelism = 1
+	if got := renderAll(t, id); got != want {
+		t.Errorf("%s: cold cached output differs from uncached:\n--- uncached ---\n%s\n--- cached ---\n%s", id, want, got)
 	}
+	if st := s1.Stats(); st.Hits() != 0 || st.Misses == 0 {
+		t.Errorf("cold pass stats %+v: expected only misses", st)
+	}
+
+	// Warm, parallel: same store, every cell must hit the memory tier, bytes
+	// must not move.
+	misses := s1.Stats().Misses
+	Parallelism = 8
+	if got := renderAll(t, id); got != want {
+		t.Errorf("%s: warm cached output differs from uncached", id)
+	}
+	if st := s1.Stats(); st.Misses != misses || st.MemHits == 0 {
+		t.Errorf("warm pass re-simulated cells: stats %+v", st)
+	}
+
+	// Disk round trip: reopen the directory in a fresh store (empty memory
+	// tier) and replay — all disk hits, same bytes.
 	s2, err := rcache.Open(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	Cache = s2
-	if got := renderAll(t, id); got != uncached {
+	if got := renderAll(t, id); got != want {
 		t.Errorf("%s: disk-warm output differs from uncached", id)
 	}
 	if st := s2.Stats(); st.Misses != 0 || st.DiskHits == 0 {

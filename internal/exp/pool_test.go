@@ -12,15 +12,16 @@ import (
 )
 
 // TestPooledMatchesUnpooled asserts the instance pool's core guarantee:
-// experiment output is byte-identical with the pool on or off, at serial and
-// parallel fan-out — a reset instance is indistinguishable from a fresh
-// build. fig1-misses exercises the dense shared-spec grid (14 cells, one
-// spec: the pool's best case), t4-multiprog the bespoke two-arm path that
-// acquires two instances per arm and time-slices stateful engines, and
-// a5-premature the DAG analysis that acquires before its grid runs. The
-// last two acquire outside a grid's cells, so their serial build and hit
-// counts are pinned: t4's second arm reuses both of the first arm's
-// programs, and a5's analysed instance serves its grid's cells.
+// experiment output with the pool on, at serial and parallel fan-out, is
+// byte-identical to the unpooled quick-suite reference — a reset instance
+// is indistinguishable from a fresh build. fig1-misses exercises the dense
+// shared-spec grid (8 cells, one spec: the pool's best case), t4-multiprog
+// the bespoke two-arm path that acquires two instances per arm and
+// time-slices stateful engines, and a5-premature the DAG analysis that
+// acquires before its grid runs. The last two acquire outside a grid's
+// cells, so their serial build and hit counts are pinned: t4's second arm
+// reuses both of the first arm's programs, and a5's analysed instance
+// serves its grid's cells.
 func TestPooledMatchesUnpooled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -35,16 +36,13 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 		"a5-premature": {1, 4},
 	}
 	for _, id := range []string{"fig1-misses", "t4-multiprog", "a5-premature"} {
-		InstancePool = nil
-		Parallelism = 1
-		unpooled := renderAll(t, id)
-
+		want := reference(t, id).out
 		for _, p := range []int{1, 8} {
 			Parallelism = p
 			InstancePool = workloads.NewPool(workloads.DefaultPoolBudget)
-			if got := renderAll(t, id); got != unpooled {
+			if got := renderAll(t, id); got != want {
 				t.Errorf("%s: pooled output at Parallelism=%d differs from unpooled:\n--- unpooled ---\n%s\n--- pooled ---\n%s",
-					id, p, unpooled, got)
+					id, p, want, got)
 			}
 			wpool := func(name string) float64 {
 				return testutil.Series(t, InstancePool.RegisterMetrics, "wpool_"+name)[""]

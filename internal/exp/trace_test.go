@@ -10,27 +10,26 @@ import (
 )
 
 // TestTraceByteIdentical asserts the tracer's contract: it only observes.
-// Experiment output must be byte-identical with tracing off, tracing on
-// serially, and tracing on under a parallel cached run — and every collected
-// span must be well-formed: one per cell, outcome set, phase durations
-// summing to approximately the span's wall time (the slack is closure and
-// pprof-label bookkeeping, microseconds per cell).
+// Experiment output with tracing on serially, and with tracing on under a
+// parallel cached run, must be byte-identical to the untraced quick-suite
+// reference — and every collected span must be well-formed: one per cell,
+// outcome set, phase durations summing to approximately the span's wall
+// time (the slack is closure and pprof-label bookkeeping, microseconds per
+// cell).
 func TestTraceByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
+	const id = "fig1-misses"
+	untraced := reference(t, id).out
 	defer func(old int) { Parallelism = old }(Parallelism)
 	defer func(old *rcache.Store) { Cache = old }(Cache)
 	defer func(old *obs.Tracer) { Tracer = old }(Tracer)
 
-	const id = "fig1-misses"
-	Tracer = nil
-	Cache = nil
-	Parallelism = 1
-	untraced := renderAll(t, id)
-
 	// Traced, serial, uncached: same bytes, spans with outcome "uncached".
 	Tracer = obs.NewTracer()
+	Cache = nil
+	Parallelism = 1
 	if got := renderAll(t, id); got != untraced {
 		t.Errorf("%s: traced serial output differs from untraced:\n--- untraced ---\n%s\n--- traced ---\n%s",
 			id, untraced, got)
@@ -41,8 +40,8 @@ func TestTraceByteIdentical(t *testing.T) {
 	}
 	checkSpans(t, Tracer, "uncached-serial", false)
 
-	// Traced, parallel, cached (cold then warm in one pass thanks to the two
-	// fig1 panels sharing cells): same bytes, one span per cell, keys set.
+	// Traced, parallel, through a cold memory store: same bytes, one span
+	// per cell, keys set.
 	Tracer = obs.NewTracer()
 	Cache = rcache.NewMemory()
 	Parallelism = 8

@@ -155,6 +155,20 @@ func TestResolveRejects(t *testing.T) {
 	}
 }
 
+// TestUnknownMetricListsValid pins the unknown-metric error text: it names
+// every leaf metric, in the order of the metric table.
+func TestUnknownMetricListsValid(t *testing.T) {
+	d := &Def{Workload: []string{"mergesort"}, Cores: []int{2}, Metrics: []string{"bogus"}}
+	_, err := d.Resolve(1)
+	const want = `grid custom-grid: column "pdf bogus": unknown metric "bogus" (valid: [cycles instructions tasks ` +
+		`busy-cycles idle-cycles dispatch-cycles l1-hits l1-misses l2-hits l2-misses l2-writebacks ` +
+		`offchip-transfers offchip-bytes bus-queue-cycles bus-util steals steal-probes failed-steals ` +
+		`premature l1-mpki l2-mpki utilization])`
+	if err == nil || err.Error() != want {
+		t.Fatalf("error = %v\nwant    %s", err, want)
+	}
+}
+
 func TestResolveCellLimit(t *testing.T) {
 	d := &Def{
 		Workload: []string{"mergesort"},

@@ -169,43 +169,55 @@ func ColOnly(name, only string, e *Expr) Column {
 	return Column{Name: name, Expr: e, Only: only}
 }
 
-// Metrics maps metric names to extractors over one cell's result record.
-// Leaf columns print int-typed metrics as integers and float-typed metrics
-// with the report package's fixed three decimals.
-var metricFns = map[string]func(metrics.Run) any{
-	"cycles":            func(r metrics.Run) any { return r.Cycles },
-	"instructions":      func(r metrics.Run) any { return r.Instructions },
-	"tasks":             func(r metrics.Run) any { return r.Tasks },
-	"busy-cycles":       func(r metrics.Run) any { return r.BusyCycles },
-	"idle-cycles":       func(r metrics.Run) any { return r.IdleCycles },
-	"dispatch-cycles":   func(r metrics.Run) any { return r.DispatchCyc },
-	"l1-hits":           func(r metrics.Run) any { return r.L1Hits },
-	"l1-misses":         func(r metrics.Run) any { return r.L1Misses },
-	"l2-hits":           func(r metrics.Run) any { return r.L2Hits },
-	"l2-misses":         func(r metrics.Run) any { return r.L2Misses },
-	"l2-writebacks":     func(r metrics.Run) any { return r.L2Writebacks },
-	"offchip-transfers": func(r metrics.Run) any { return r.OffchipTransfers },
-	"offchip-bytes":     func(r metrics.Run) any { return r.OffchipBytes },
-	"bus-queue-cycles":  func(r metrics.Run) any { return r.BusQueueCycles },
-	"bus-util":          func(r metrics.Run) any { return r.BusUtilization },
-	"steals":            func(r metrics.Run) any { return r.Steals },
-	"steal-probes":      func(r metrics.Run) any { return r.StealProbes },
-	"failed-steals":     func(r metrics.Run) any { return r.FailedSteals },
-	"premature":         func(r metrics.Run) any { return r.MaxPremature },
-	"l1-mpki":           func(r metrics.Run) any { return r.L1MPKI() },
-	"l2-mpki":           func(r metrics.Run) any { return r.L2MPKI() },
-	"utilization":       func(r metrics.Run) any { return r.Utilization() },
+// metricTable lists the leaf metrics, in the order the "unknown metric"
+// error advertises them, with their extractors over one cell's result
+// record. Leaf columns print int-typed metrics as integers and float-typed
+// metrics with the report package's fixed three decimals.
+var metricTable = []struct {
+	name string
+	fn   func(metrics.Run) any
+}{
+	{"cycles", func(r metrics.Run) any { return r.Cycles }},
+	{"instructions", func(r metrics.Run) any { return r.Instructions }},
+	{"tasks", func(r metrics.Run) any { return r.Tasks }},
+	{"busy-cycles", func(r metrics.Run) any { return r.BusyCycles }},
+	{"idle-cycles", func(r metrics.Run) any { return r.IdleCycles }},
+	{"dispatch-cycles", func(r metrics.Run) any { return r.DispatchCyc }},
+	{"l1-hits", func(r metrics.Run) any { return r.L1Hits }},
+	{"l1-misses", func(r metrics.Run) any { return r.L1Misses }},
+	{"l2-hits", func(r metrics.Run) any { return r.L2Hits }},
+	{"l2-misses", func(r metrics.Run) any { return r.L2Misses }},
+	{"l2-writebacks", func(r metrics.Run) any { return r.L2Writebacks }},
+	{"offchip-transfers", func(r metrics.Run) any { return r.OffchipTransfers }},
+	{"offchip-bytes", func(r metrics.Run) any { return r.OffchipBytes }},
+	{"bus-queue-cycles", func(r metrics.Run) any { return r.BusQueueCycles }},
+	{"bus-util", func(r metrics.Run) any { return r.BusUtilization }},
+	{"steals", func(r metrics.Run) any { return r.Steals }},
+	{"steal-probes", func(r metrics.Run) any { return r.StealProbes }},
+	{"failed-steals", func(r metrics.Run) any { return r.FailedSteals }},
+	{"premature", func(r metrics.Run) any { return r.MaxPremature }},
+	{"l1-mpki", func(r metrics.Run) any { return r.L1MPKI() }},
+	{"l2-mpki", func(r metrics.Run) any { return r.L2MPKI() }},
+	{"utilization", func(r metrics.Run) any { return r.Utilization() }},
 }
 
-// MetricNames lists the leaf metric names in a stable order.
-func MetricNames() []string {
-	return []string{
-		"cycles", "instructions", "tasks", "busy-cycles", "idle-cycles",
-		"dispatch-cycles", "l1-hits", "l1-misses", "l2-hits", "l2-misses",
-		"l2-writebacks", "offchip-transfers", "offchip-bytes",
-		"bus-queue-cycles", "bus-util", "steals", "steal-probes",
-		"failed-steals", "premature", "l1-mpki", "l2-mpki", "utilization",
+// metricFn returns the extractor of the named leaf metric.
+func metricFn(name string) (func(metrics.Run) any, bool) {
+	for _, m := range metricTable {
+		if m.name == name {
+			return m.fn, true
+		}
 	}
+	return nil, false
+}
+
+// metricNames lists the leaf metric names in table order.
+func metricNames() []string {
+	names := make([]string, len(metricTable))
+	for i, m := range metricTable {
+		names[i] = m.name
+	}
+	return names
 }
 
 // axisLen returns the number of points on an axis.
@@ -310,7 +322,7 @@ func (g *Grid) resolve(at Sel, row rowIdx) (rowIdx, error) {
 // type (so integer columns print as integers); derived ops yield float64.
 func (g *Grid) eval(e *Expr, row rowIdx, runs []metrics.Run) (any, error) {
 	if e.Metric != "" {
-		fn, ok := metricFns[e.Metric]
+		fn, ok := metricFn(e.Metric)
 		if !ok {
 			return nil, fmt.Errorf("grid %s: unknown metric %q", g.ID, e.Metric)
 		}
@@ -536,8 +548,8 @@ func (g *Grid) validExpr(col string, e *Expr, rowAxes map[Axis]bool) error {
 		if e.Op != "" || e.Num != nil || e.Den != nil {
 			return fmt.Errorf("grid %s: column %q: leaf %q cannot also have an op", g.ID, col, e.Metric)
 		}
-		if _, ok := metricFns[e.Metric]; !ok {
-			return fmt.Errorf("grid %s: column %q: unknown metric %q (valid: %v)", g.ID, col, e.Metric, MetricNames())
+		if _, ok := metricFn(e.Metric); !ok {
+			return fmt.Errorf("grid %s: column %q: unknown metric %q (valid: %v)", g.ID, col, e.Metric, metricNames())
 		}
 		return g.validSel(col, e.At, rowAxes)
 	}

@@ -153,11 +153,13 @@ func (a *API) result(w http.ResponseWriter, r *http.Request) {
 }
 
 // events streams the job's progress as Server-Sent Events: a `status` event
-// with the current snapshot on connect, a `progress` event per completed
-// cell, and a final `end` event with the terminal snapshot, after which the
-// stream closes. Slow consumers may miss intermediate progress events
-// (they are dropped, never buffered unboundedly); the end event is always
-// delivered. Data payloads are the Event JSON.
+// with the current snapshot on connect, a `progress` event per observed
+// state or progress move, and a final `end` event with the terminal
+// snapshot, after which the stream closes. Moves that land while a slow
+// consumer is still being written to coalesce into one progress event with
+// the latest snapshot (nothing is buffered); the end event is always
+// delivered, also to a client that connects after the job ended. Data
+// payloads are the Event JSON.
 func (a *API) events(w http.ResponseWriter, r *http.Request) {
 	j := a.lookup(w, r)
 	if j == nil {
@@ -179,28 +181,19 @@ func (a *API) events(w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 	}
 
-	sub := j.Subscribe()
-	defer j.Unsubscribe(sub)
-	first := true
-	for {
+	ev, changed := j.watch()
+	send("status", ev)
+	for !ev.State.Terminal() {
 		select {
-		case ev, ok := <-sub:
-			if !ok {
-				// Terminal: the closure is the guaranteed signal; the final
-				// snapshot is read fresh so it is never a dropped send.
-				send("end", j.Event())
-				return
-			}
-			if first {
-				send("status", ev)
-				first = false
-			} else {
-				send("progress", ev)
-			}
+		case <-changed:
 		case <-r.Context().Done():
 			return
 		}
+		if ev, changed = j.watch(); !ev.State.Terminal() {
+			send("progress", ev)
+		}
 	}
+	send("end", ev)
 }
 
 // trace streams the job's per-cell spans as JSONL — the same SpanRecord

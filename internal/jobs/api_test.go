@@ -106,7 +106,7 @@ func waitDraining(t *testing.T, m *Manager) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if m.Draining() {
+		if m.Stats().Draining {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -360,18 +360,16 @@ func TestServiceMatchesCLI(t *testing.T) {
 	}
 }
 
-// TestSSEStream drives /events over a real HTTP server (SSE needs the
-// flusher and a streaming body): a status event first, then progress, then
-// exactly one end event carrying the terminal state, then EOF.
-func TestSSEStream(t *testing.T) {
-	_, api := newTestAPI(t, Config{})
-	srv := httptest.NewServer(api)
-	defer srv.Close()
+// sseEvent is one parsed Server-Sent Event.
+type sseEvent struct {
+	event string
+	data  Event
+}
 
-	rec := postJob(t, api, tinyDef)
-	st := decodeStatus(t, rec)
-
-	resp, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
+// readSSE reads a job's /events stream to EOF.
+func readSSE(t *testing.T, url string) []sseEvent {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,13 +377,8 @@ func TestSSEStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-
-	type sse struct {
-		event string
-		data  Event
-	}
-	var events []sse
-	cur := sse{}
+	var events []sseEvent
+	cur := sseEvent{}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
@@ -398,7 +391,7 @@ func TestSSEStream(t *testing.T) {
 			}
 		case line == "":
 			events = append(events, cur)
-			cur = sse{}
+			cur = sseEvent{}
 		default:
 			t.Fatalf("malformed SSE line %q", line)
 		}
@@ -406,6 +399,23 @@ func TestSSEStream(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return events
+}
+
+// TestSSEStream drives /events over a real HTTP server (SSE needs the
+// flusher and a streaming body): a status event first, then progress, then
+// exactly one end event carrying the terminal state, then EOF. A client
+// that connects after the job ended gets the same framing: status, end.
+func TestSSEStream(t *testing.T) {
+	_, api := newTestAPI(t, Config{})
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+
+	rec := postJob(t, api, tinyDef)
+	st := decodeStatus(t, rec)
+	url := srv.URL + "/v1/jobs/" + st.ID + "/events"
+
+	events := readSSE(t, url)
 	if len(events) < 2 {
 		t.Fatalf("only %d events: %+v", len(events), events)
 	}
@@ -419,18 +429,21 @@ func TestSSEStream(t *testing.T) {
 	if last.data.State != StateDone || last.data.CellsDone != 1 || last.data.Percent != 100 {
 		t.Fatalf("end data: %+v", last.data)
 	}
-	ends, done := 0, 0
-	for _, e := range events {
-		if e.event == "end" {
-			ends++
+	done := 0
+	for i, e := range events {
+		if i > 0 && i < len(events)-1 && e.event != "progress" {
+			t.Fatalf("event %d = %q, want progress between status and end: %+v", i, e.event, events)
 		}
 		if e.data.CellsDone < done {
 			t.Fatalf("progress went backwards: %+v", events)
 		}
 		done = e.data.CellsDone
 	}
-	if ends != 1 {
-		t.Fatalf("%d end events, want exactly 1", ends)
+
+	after := readSSE(t, url)
+	if len(after) != 2 || after[0].event != "status" || after[1].event != "end" ||
+		after[0].data != last.data || after[1].data != last.data {
+		t.Fatalf("stream of an ended job = %+v, want status then end, both %+v", after, last.data)
 	}
 }
 

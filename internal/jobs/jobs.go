@@ -161,8 +161,7 @@ type Job struct {
 	cancel    context.CancelFunc // set while running
 	cancelled bool               // cancellation requested (possibly before start)
 	tracer    *obs.Tracer
-	subs      map[chan Event]struct{}
-	closed    bool          // subscriber channels closed (terminal)
+	changed   chan struct{} // closed at the next state or progress move; nil until watched
 	doneCh    chan struct{} // closed when the job reaches a terminal state
 }
 
@@ -206,58 +205,42 @@ func (j *Job) Result() (table, csv string, ok bool) {
 	return j.table, j.csv, true
 }
 
-// Subscribe registers a progress listener. The returned channel carries the
-// current snapshot immediately, then further snapshots as cells complete,
-// and is closed when the job reaches a terminal state — the closure is the
-// subscriber's cue to read the final Event and stop. Progress snapshots may
-// be dropped for slow consumers (the channel never blocks the executor);
-// the terminal closure is never dropped. Always Unsubscribe when done.
-func (j *Job) Subscribe() chan Event {
-	ch := make(chan Event, 16)
+// watch snapshots the job's Event together with a channel that is closed at
+// its next state or progress move. A watcher waits on the channel and then
+// watches again, so moves between two snapshots coalesce into the later one
+// and the executor never blocks on a slow watcher. The channel is made only
+// when someone watches: an unwatched job allocates nothing per cell.
+func (j *Job) watch() (Event, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch <- j.event()
-	if j.closed {
-		close(ch)
-		return ch
+	if j.changed == nil {
+		j.changed = make(chan struct{})
 	}
-	j.subs[ch] = struct{}{}
-	return ch
+	return j.event(), j.changed
 }
 
-// Unsubscribe removes a listener registered by Subscribe.
-func (j *Job) Unsubscribe(ch chan Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	delete(j.subs, ch)
-}
-
-// broadcast sends ev to every subscriber without blocking: a full (slow)
-// subscriber skips intermediate snapshots and catches up from the terminal
-// close. Callers hold mu.
-func (j *Job) broadcast(ev Event) {
-	for ch := range j.subs {
-		select {
-		//repro:allow maporder every subscriber receives the same Event value and no cross-subscriber ordering is observable, so map iteration order cannot reach any output
-		case ch <- ev:
-		default:
-		}
+// notify wakes every watcher: it closes the change channel, and the next
+// watch makes a fresh one. Callers hold mu.
+func (j *Job) notify() {
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
 	}
 }
 
-// progress records one completed cell and notifies subscribers. Called on
+// progress records one completed cell and wakes watchers. Called on
 // the executor's yield path in canonical cell order, so done is strictly
 // increasing.
 func (j *Job) progress(done int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.done = done
-	j.broadcast(j.event())
+	j.notify()
 }
 
 // finish moves the job to a terminal state: stamps the finish time, tallies
-// the cache outcomes from its spans, closes subscriber channels (their cue
-// to read the final snapshot), and releases Done waiters.
+// the cache outcomes from its spans, wakes watchers (who then read the
+// terminal snapshot), and releases Done waiters.
 func (j *Job) finish(state State, errMsg string) {
 	hits, misses := 0, 0
 	for _, rec := range j.tracer.Records() {
@@ -275,13 +258,7 @@ func (j *Job) finish(state State, errMsg string) {
 	j.finished = obs.Now()
 	j.hits, j.misses = hits, misses
 	j.cancel = nil
-	if !j.closed {
-		j.closed = true
-		for ch := range j.subs {
-			close(ch)
-		}
-		j.subs = map[chan Event]struct{}{}
-	}
+	j.notify()
 	close(j.doneCh)
 }
 
@@ -414,7 +391,6 @@ func (m *Manager) Submit(raw []byte) (*Job, error) {
 		state:     StateQueued,
 		submitted: obs.Now(),
 		tracer:    obs.NewTracer(),
-		subs:      map[chan Event]struct{}{},
 		doneCh:    make(chan struct{}),
 	}
 	m.jobs[j.id] = j
@@ -545,13 +521,6 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 	}
 }
 
-// Draining reports whether Shutdown has begun.
-func (m *Manager) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
-}
-
 // Shutdown drains the manager gracefully: new submissions are rejected with
 // 503, queued jobs finish cancelled, and the running job (if any) completes
 // before Shutdown returns. If ctx expires first, the running job's context
@@ -678,7 +647,7 @@ func (m *Manager) execute(j *Job) {
 	j.state = StateRunning
 	j.started = obs.Now()
 	j.cancel = cancel
-	j.broadcast(j.event())
+	j.notify()
 	j.mu.Unlock()
 	m.cfg.Log.Info("job running", "id", j.id, "cells", j.cells)
 

@@ -34,17 +34,22 @@ type quickRun struct {
 var refParallel = runtime.GOMAXPROCS(0)
 
 // quickSuite is the cold quick suite, simulated once per test binary, on
-// first use: all experiments streamed through the runner as cmd/sweep runs
-// them, at refParallel workers with no cache, no instance pool, no tracer
-// and no remote tier. TestGoldenTables pins it to testdata/; every
-// byte-identity test renders only the setting it varies and compares that
-// with it. The run sets the four package globals and restores them after;
-// no exp test calls t.Parallel, so nothing else reads them meanwhile.
+// first use, the way cmd/sweep runs it: all experiments streamed through
+// the runner at refParallel workers, sharing one fresh in-memory cell
+// cache (cells repeated across experiments, such as the two fig1 panels,
+// simulate once) and one fresh instance pool, with no tracer and no remote
+// tier. TestGoldenTables pins it to testdata/; every byte-identity test
+// renders only the setting it varies — serial, uncached, unpooled, traced,
+// remote — and compares that with it. The run sets the four package
+// globals and restores them after; no exp test calls t.Parallel, so
+// nothing else reads them meanwhile. An error is kept, so every test that
+// reads the reference fails with it.
 var quickSuite = sync.OnceValues(func() (map[string]quickRun, error) {
 	defer func(p int, c *rcache.Store, pool *workloads.Pool, tr *obs.Tracer) {
 		Parallelism, Cache, InstancePool, Tracer = p, c, pool, tr
 	}(Parallelism, Cache, InstancePool, Tracer)
-	Parallelism, Cache, InstancePool, Tracer = refParallel, nil, nil, nil
+	Parallelism, Tracer = refParallel, nil
+	Cache, InstancePool = rcache.NewMemory(), workloads.NewPool(workloads.DefaultPoolBudget)
 
 	ids := IDs()
 	jobs := make([]runner.Job[*Result], len(ids))

@@ -37,8 +37,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestCachedMatchesUncached asserts the cache's core guarantee: experiment
 // output from a cold, a memory-warm and a disk-warm store is byte-identical
-// to the uncached reference, at serial and parallel fan-out — a cached Run
-// is exactly the record a fresh simulation would produce. It also pins the
+// to the quick-suite reference, at serial and parallel fan-out — a cached
+// Run is exactly the record a fresh simulation would produce. (The uncached
+// renders of TestParallelMatchesSerial, TestPooledMatchesUnpooled and
+// TestTraceByteIdentical match the same reference.) It also pins the
 // warm-sweep accounting the CI smoke job relies on: a repeat visit of the
 // same cells must be all hits, whether they come from the in-process map or
 // from a reopened disk store.
@@ -61,7 +63,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 	Cache = s1
 	Parallelism = 1
 	if got := renderAll(t, id); got != want {
-		t.Errorf("%s: cold cached output differs from uncached:\n--- uncached ---\n%s\n--- cached ---\n%s", id, want, got)
+		t.Errorf("%s: cold cached output differs from the reference:\n--- reference ---\n%s\n--- cached ---\n%s", id, want, got)
 	}
 	if st := s1.Stats(); st.Hits() != 0 || st.Misses == 0 {
 		t.Errorf("cold pass stats %+v: expected only misses", st)
@@ -72,7 +74,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 	misses := s1.Stats().Misses
 	Parallelism = 8
 	if got := renderAll(t, id); got != want {
-		t.Errorf("%s: warm cached output differs from uncached", id)
+		t.Errorf("%s: warm cached output differs from the reference", id)
 	}
 	if st := s1.Stats(); st.Misses != misses || st.MemHits == 0 {
 		t.Errorf("warm pass re-simulated cells: stats %+v", st)
@@ -86,7 +88,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 	}
 	Cache = s2
 	if got := renderAll(t, id); got != want {
-		t.Errorf("%s: disk-warm output differs from uncached", id)
+		t.Errorf("%s: disk-warm output differs from the reference", id)
 	}
 	if st := s2.Stats(); st.Misses != 0 || st.DiskHits == 0 {
 		t.Errorf("disk-warm stats %+v: want pure disk hits", st)

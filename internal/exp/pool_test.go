@@ -12,16 +12,18 @@ import (
 )
 
 // TestPooledMatchesUnpooled asserts the instance pool's core guarantee:
-// experiment output with the pool on, at serial and parallel fan-out, is
-// byte-identical to the unpooled quick-suite reference — a reset instance
-// is indistinguishable from a fresh build. fig1-misses exercises the dense
-// shared-spec grid (8 cells, one spec: the pool's best case), t4-multiprog
-// the bespoke two-arm path that acquires two instances per arm and
-// time-slices stateful engines, and a5-premature the DAG analysis that
-// acquires before its grid runs. The last two acquire outside a grid's
-// cells, so their serial build and hit counts are pinned: t4's second arm
-// reuses both of the first arm's programs, and a5's analysed instance
-// serves its grid's cells.
+// experiment output is byte-identical with the pool on or off, at serial
+// and parallel fan-out — a reset instance is indistinguishable from a fresh
+// build. The unpooled side is an uncached render of its own; it and the
+// pooled renders are each compared with the quick-suite reference (itself
+// pooled, so every experiment's pooled bytes are pinned by its golden).
+// fig1-misses exercises the dense shared-spec grid (8 cells, one spec: the
+// pool's best case), t4-multiprog the bespoke two-arm path that acquires
+// two instances per arm and time-slices stateful engines, and a5-premature
+// the DAG analysis that acquires before its grid runs. The last two acquire
+// outside a grid's cells, so their serial build and hit counts are pinned:
+// t4's second arm reuses both of the first arm's programs, and a5's
+// analysed instance serves its grid's cells.
 func TestPooledMatchesUnpooled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -37,11 +39,16 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	}
 	for _, id := range []string{"fig1-misses", "t4-multiprog", "a5-premature"} {
 		want := reference(t, id).out
+		Parallelism, InstancePool = 8, nil
+		if got := renderAll(t, id); got != want {
+			t.Errorf("%s: unpooled output differs from the pooled reference:\n--- reference ---\n%s\n--- unpooled ---\n%s",
+				id, want, got)
+		}
 		for _, p := range []int{1, 8} {
 			Parallelism = p
 			InstancePool = workloads.NewPool(workloads.DefaultPoolBudget)
 			if got := renderAll(t, id); got != want {
-				t.Errorf("%s: pooled output at Parallelism=%d differs from unpooled:\n--- unpooled ---\n%s\n--- pooled ---\n%s",
+				t.Errorf("%s: pooled output at Parallelism=%d differs from the reference:\n--- reference ---\n%s\n--- pooled ---\n%s",
 					id, p, want, got)
 			}
 			wpool := func(name string) float64 {

@@ -39,14 +39,14 @@ func remoteClient(t *testing.T, id, want, label, urls string) *rcache.Store {
 	}
 	Cache = s
 	if got := renderAll(t, id); got != want {
-		t.Errorf("%s: %s output differs from uncached:\n--- uncached ---\n%s\n--- got ---\n%s", id, label, want, got)
+		t.Errorf("%s: %s output differs from the reference:\n--- reference ---\n%s\n--- got ---\n%s", id, label, want, got)
 	}
 	s.Close()
 	return s
 }
 
 // TestRemoteTierMatchesLocal is the shared-cache-e2e CI job run in-process:
-// experiment output must be byte-identical to the uncached quick-suite
+// experiment output must be byte-identical to the local quick-suite
 // reference with a cold client filling one shared server, with a second
 // cold client warmed entirely over the wire (misses=0), and with a dead
 // remote (degrades to local-only, never fails the sweep). A remote state
@@ -81,7 +81,7 @@ func TestRemoteTierMatchesLocal(t *testing.T) {
 
 // TestFleetMatchesSingle is the sharded-tier byte-identity pin: one
 // experiment rendered against a 3-server fleet cold, warm, and with one
-// shard dead must match the uncached quick-suite reference, which
+// shard dead must match the local quick-suite reference, which
 // TestRemoteTierMatchesLocal also matches through a single server. A fleet
 // state is never allowed to leak into output, only into hit rates. It also
 // pins the warmth contract: a cold client against the warm fleet simulates

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -444,6 +445,48 @@ func TestSSEStream(t *testing.T) {
 	if len(after) != 2 || after[0].event != "status" || after[1].event != "end" ||
 		after[0].data != last.data || after[1].data != last.data {
 		t.Fatalf("stream of an ended job = %+v, want status then end, both %+v", after, last.data)
+	}
+}
+
+// BenchmarkWatchedJob measures the change signal's cost for one watcher
+// that observes every move of a 2-cell job (running, two cells, done):
+// the worst case, since each observed move makes one channel. The
+// executor waits for the watcher to re-watch before its next move.
+func BenchmarkWatchedJob(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j := &Job{id: "x", cells: 2, state: StateQueued, tracer: obs.NewTracer(), doneCh: make(chan struct{})}
+		ev, changed := j.watch()
+		done := make(chan struct{})
+		go func() {
+			for !ev.State.Terminal() {
+				<-changed
+				ev, changed = j.watch()
+			}
+			close(done)
+		}()
+		rewatched := func() {
+			for {
+				j.mu.Lock()
+				w := j.changed != nil
+				j.mu.Unlock()
+				if w {
+					return
+				}
+				runtime.Gosched()
+			}
+		}
+		j.mu.Lock()
+		j.state = StateRunning
+		j.notify()
+		j.mu.Unlock()
+		rewatched()
+		j.progress(1)
+		rewatched()
+		j.progress(2)
+		rewatched()
+		j.finish(StateDone, "")
+		<-done
 	}
 }
 

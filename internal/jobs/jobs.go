@@ -209,7 +209,8 @@ func (j *Job) Result() (table, csv string, ok bool) {
 // its next state or progress move. A watcher waits on the channel and then
 // watches again, so moves between two snapshots coalesce into the later one
 // and the executor never blocks on a slow watcher. The channel is made only
-// when someone watches: an unwatched job allocates nothing per cell.
+// when someone watches: an unwatched job allocates nothing per cell, and a
+// watched one one small channel per move its watchers observe.
 func (j *Job) watch() (Event, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -10,12 +10,13 @@ import (
 )
 
 // TestTraceByteIdentical asserts the tracer's contract: it only observes.
-// Experiment output with tracing on serially, and with tracing on under a
-// parallel cached run, must be byte-identical to the untraced quick-suite
-// reference — and every collected span must be well-formed: one per cell,
-// outcome set, phase durations summing to approximately the span's wall
-// time (the slack is closure and pprof-label bookkeeping, microseconds per
-// cell).
+// Experiment output with tracing on serially, and with tracing on under
+// parallel cached runs — cold, then replayed from the warm disk tier, then
+// from the warm memory tier — must be byte-identical to the untraced
+// quick-suite reference, and every collected span must be well-formed: one
+// per cell, the pass's expected outcome, phase durations summing to
+// approximately the span's wall time (the slack is closure and pprof-label
+// bookkeeping, microseconds per cell).
 func TestTraceByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -38,21 +39,39 @@ func TestTraceByteIdentical(t *testing.T) {
 	if serialSpans == 0 {
 		t.Fatal("tracer collected no spans")
 	}
-	checkSpans(t, Tracer, "uncached-serial", false)
+	checkSpans(t, Tracer, "uncached-serial", "uncached")
 
-	// Traced, parallel, through a cold memory store: same bytes, one span
-	// per cell, keys set.
-	Tracer = obs.NewTracer()
-	Cache = rcache.NewMemory()
+	// Traced, parallel, through a cold disk-backed store, then a fresh
+	// store over the directory it filled (every cell a disk hit), then that
+	// store again (every cell a memory hit): same bytes, one span per cell,
+	// keys set.
+	dir := t.TempDir()
 	Parallelism = 8
-	if got := renderAll(t, id); got != untraced {
-		t.Errorf("%s: traced parallel cached output differs from untraced", id)
+	for _, pass := range []struct {
+		label, outcome string
+		fresh          bool // a new store over dir: an empty memory tier
+	}{
+		{"cold-disk", "computed", true},
+		{"warm-disk", "disk-hit", true},
+		{"warm-memory", "mem-hit", false},
+	} {
+		if pass.fresh {
+			store, err := rcache.Open(dir, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Cache = store
+		}
+		Tracer = obs.NewTracer()
+		if got := renderAll(t, id); got != untraced {
+			t.Errorf("%s: traced parallel %s output differs from untraced", id, pass.label)
+		}
+		if Tracer.Len() != serialSpans {
+			t.Errorf("%s run collected %d spans, serial %d — want one per cell either way",
+				pass.label, Tracer.Len(), serialSpans)
+		}
+		checkSpans(t, Tracer, pass.label, pass.outcome)
 	}
-	if Tracer.Len() != serialSpans {
-		t.Errorf("parallel cached run collected %d spans, serial %d — want one per cell either way",
-			Tracer.Len(), serialSpans)
-	}
-	checkSpans(t, Tracer, "cached-parallel", true)
 
 	// The JSONL wire form round-trips what the tracer holds.
 	var buf bytes.Buffer
@@ -68,20 +87,21 @@ func TestTraceByteIdentical(t *testing.T) {
 	}
 }
 
-// checkSpans validates every collected span: identity fields present,
-// outcome recorded, and phase durations that partition the span total up to
-// a small per-cell bookkeeping slack.
-func checkSpans(t *testing.T, tr *obs.Tracer, label string, keyed bool) {
+// checkSpans validates every collected span: identity fields present, the
+// given outcome recorded, a cache key unless the run was uncached, and
+// phase durations that partition the span total up to a small per-cell
+// bookkeeping slack.
+func checkSpans(t *testing.T, tr *obs.Tracer, label, outcome string) {
 	t.Helper()
 	const slack = int64(20 * time.Millisecond)
 	for i, rec := range tr.Records() {
 		if rec.Workload == "" || rec.Config == "" || rec.Sched == "" {
 			t.Errorf("%s span %d: incomplete identity %+v", label, i, rec)
 		}
-		if rec.Outcome == "" {
-			t.Errorf("%s span %d: no outcome", label, i)
+		if rec.Outcome != outcome {
+			t.Errorf("%s span %d: outcome %q, want %q", label, i, rec.Outcome, outcome)
 		}
-		if keyed && rec.Key == "" {
+		if outcome != "uncached" && rec.Key == "" {
 			t.Errorf("%s span %d: cached run recorded no cache key", label, i)
 		}
 		var sum int64

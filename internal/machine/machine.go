@@ -137,16 +137,38 @@ func (c Config) String() string {
 // perturbs each struct field by reflection and fails if the fingerprint does
 // not change, so adding a Config field without extending this method breaks
 // the build's tests rather than silently aliasing cache entries.
+//
+// It is the fmt-free spelling of `machine.Config{Name=%q Cores=%d Tech=%q
+// ... BusBPC=%s ... SpawnOverhead=%d}` (BusBPC in strconv's shortest 'g'
+// form): the result cache builds one per lookup, so it appends with strconv
+// instead.
 func (c Config) Fingerprint() string {
-	return fmt.Sprintf("machine.Config{Name=%q Cores=%d Tech=%q LineSize=%d "+
-		"L1Size=%d L1Ways=%d L2Size=%d L2Ways=%d L1Lat=%d L2Lat=%d MemLat=%d "+
-		"BusBPC=%s L2MaskedWays=%d PDFDispatch=%d WSPopLocal=%d WSStealProbe=%d "+
-		"WSStealXfer=%d IdleRetry=%d SpawnOverhead=%d}",
-		c.Name, c.Cores, c.Tech, c.LineSize,
-		c.L1Size, c.L1Ways, c.L2Size, c.L2Ways, c.L1Lat, c.L2Lat, c.MemLat,
-		strconv.FormatFloat(c.BusBPC, 'g', -1, 64), c.L2MaskedWays,
-		c.PDFDispatch, c.WSPopLocal, c.WSStealProbe,
-		c.WSStealXfer, c.IdleRetry, c.SpawnOverhead)
+	b := append(make([]byte, 0, 384), "machine.Config{Name="...)
+	b = strconv.AppendQuote(b, c.Name)
+	b = appendField(b, " Cores=", int64(c.Cores))
+	b = strconv.AppendQuote(append(b, " Tech="...), c.Tech)
+	b = appendField(b, " LineSize=", int64(c.LineSize))
+	b = appendField(b, " L1Size=", c.L1Size)
+	b = appendField(b, " L1Ways=", int64(c.L1Ways))
+	b = appendField(b, " L2Size=", c.L2Size)
+	b = appendField(b, " L2Ways=", int64(c.L2Ways))
+	b = appendField(b, " L1Lat=", c.L1Lat)
+	b = appendField(b, " L2Lat=", c.L2Lat)
+	b = appendField(b, " MemLat=", c.MemLat)
+	b = strconv.AppendFloat(append(b, " BusBPC="...), c.BusBPC, 'g', -1, 64)
+	b = appendField(b, " L2MaskedWays=", int64(c.L2MaskedWays))
+	b = appendField(b, " PDFDispatch=", c.PDFDispatch)
+	b = appendField(b, " WSPopLocal=", c.WSPopLocal)
+	b = appendField(b, " WSStealProbe=", c.WSStealProbe)
+	b = appendField(b, " WSStealXfer=", c.WSStealXfer)
+	b = appendField(b, " IdleRetry=", c.IdleRetry)
+	b = appendField(b, " SpawnOverhead=", c.SpawnOverhead)
+	return string(append(b, '}'))
+}
+
+// appendField appends one ` Name=<decimal>` fingerprint field.
+func appendField(b []byte, name string, v int64) []byte {
+	return strconv.AppendInt(append(b, name...), v, 10)
 }
 
 // floorPow2 rounds down to a power of two.

@@ -154,11 +154,11 @@ func TestDiskHitRefreshesRecency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		if !s.diskPut(k, testRun()) {
+		if !s.diskPut(k.String(), testRun()) {
 			t.Fatal("diskPut failed")
 		}
 		at := time.Now().Add(-time.Duration(2-i) * time.Hour)
-		if err := os.Chtimes(s.path(k), at, at); err != nil {
+		if err := os.Chtimes(s.path(k.String()), at, at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestDiskHitRefreshesRecency(t *testing.T) {
 
 	// Budget for one entry: the unread keys[1] must be the victim even
 	// though it was written as the younger entry.
-	size := entrySize(t, s.path(keys[0]))
+	size := entrySize(t, s.path(keys[0].String()))
 	if n, _, err := EnforceBudget(dir, size, nil); err != nil || n != 1 {
 		t.Fatalf("reclaimed %d entries (err %v), want 1", n, err)
 	}

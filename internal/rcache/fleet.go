@@ -24,7 +24,7 @@ import (
 
 type wbItem struct {
 	t    *transport
-	key  Key
+	name string // the key's hex form
 	body []byte
 }
 
@@ -115,16 +115,17 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// get asks key's home server; any anomaly there is a miss.
-func (r *remote) get(key Key) (metrics.Run, bool) {
-	return r.servers[r.home(key)].get(key)
+// get asks key's home server; any anomaly there is a miss. name is the
+// key's hex form.
+func (r *remote) get(key Key, name string) (metrics.Run, bool) {
+	return r.servers[r.home(key)].get(name)
 }
 
 // put queues a write-back of an encoded record for key's home server. It
 // never blocks: a full queue drops the item (counted against the server),
 // and a server latched down is skipped — the latch already counted, and its
 // items would only displace live ones.
-func (r *remote) put(key Key, body []byte) {
+func (r *remote) put(key Key, name string, body []byte) {
 	t := r.servers[r.home(key)]
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -132,7 +133,7 @@ func (r *remote) put(key Key, body []byte) {
 		return
 	}
 	select {
-	case r.queue <- wbItem{t, key, body}:
+	case r.queue <- wbItem{t, name, body}:
 	default:
 		t.errs.Add(1)
 	}
@@ -141,7 +142,7 @@ func (r *remote) put(key Key, body []byte) {
 func (r *remote) worker() {
 	defer r.wg.Done()
 	for item := range r.queue {
-		item.t.put(item.key, item.body)
+		item.t.put(item.name, item.body)
 	}
 }
 

@@ -289,7 +289,7 @@ func TestFleetNeverServesWrongKey(t *testing.T) {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		b, _ := encodeRecord(Key{0xEE}, wrong)
+		b, _ := encodeRecord(Key{0xEE}.String(), wrong)
 		w.Write(b)
 	}))
 	defer evil.Close()
@@ -436,7 +436,7 @@ func BenchmarkFleetWarmGet(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					key := keys[int(idx.Add(1))&255]
-					if _, ok := r.get(key); !ok {
+					if _, ok := r.get(key, key.String()); !ok {
 						b.Error("warm fleet missed")
 						return
 					}
@@ -452,9 +452,11 @@ func BenchmarkFleetPut(b *testing.B) {
 	r, _ := benchFleet(b, 3, 0)
 	run := testRun()
 	keys := testKeys(4096)
+	names := make([]string, len(keys))
 	bodies := make([][]byte, len(keys))
 	for i, key := range keys {
-		bd, err := encodeRecord(key, run)
+		names[i] = key.String()
+		bd, err := encodeRecord(names[i], run)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -462,7 +464,7 @@ func BenchmarkFleetPut(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.put(keys[i&4095], bodies[i&4095])
+		r.put(keys[i&4095], names[i&4095], bodies[i&4095])
 	}
 	b.StopTimer()
 	r.close() // include nothing of the drain
@@ -496,11 +498,11 @@ func TestCloseDrainIsBounded(t *testing.T) {
 	}
 	const cells = 64
 	for _, key := range testKeys(cells) {
-		body, err := encodeRecord(key, testRun())
+		body, err := encodeRecord(key.String(), testRun())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.remote.put(key, body)
+		s.remote.put(key, key.String(), body)
 	}
 	start := time.Now()
 	s.Close()

@@ -38,11 +38,11 @@ package rcache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,8 +66,14 @@ const SchemaVersion = 1
 // Key is the content address of one simulation cell.
 type Key [sha256.Size]byte
 
-// String returns the lowercase hex form used as the on-disk file name.
-func (k Key) String() string { return hex.EncodeToString(k[:]) }
+// String returns the lowercase hex form used as the on-disk file name, the
+// URL segment and the record's key field. A lookup builds it once (DoSpan)
+// and passes it down to every tier.
+func (k Key) String() string {
+	var b [2 * sha256.Size]byte
+	hex.Encode(b[:], k[:])
+	return string(b[:])
+}
 
 // runShape enumerates metrics.Run's field names and types by reflection.
 // Folding it into every key — and, hashed, into the version directory name —
@@ -97,19 +103,26 @@ var liveVersionDir = func() string {
 // writes — what GC keeps.
 func LiveVersion() string { return liveVersionDir }
 
+// keyPrefix is the constant head of every key's hashed text.
+var keyPrefix = fmt.Sprintf("rcache/v%d run{%s}\n", SchemaVersion, runShape)
+
 // KeyOf fingerprints a cell identity. The canonical encodings enumerate
 // every field of Config and Spec (enforced by tests in those packages), so
 // any parameter change — core count, cache geometry, scheduler overheads,
 // workload size, data seed — produces a different key.
+//
+// The hashed text is keyPrefix, then "cfg=<Config.Fingerprint>\n",
+// "spec=<Spec.Fingerprint>\n" and "sched=%s\nseed=%d\nquick=%t\n", written
+// with appends into one stack buffer (TestPinnedOnDiskContract pins a key).
 func KeyOf(cfg machine.Config, spec workloads.Spec, sched string, seed uint64, quick bool) Key {
-	h := sha256.New()
-	fmt.Fprintf(h, "rcache/v%d run{%s}\n", SchemaVersion, runShape)
-	fmt.Fprintf(h, "cfg=%s\n", cfg.Fingerprint())
-	fmt.Fprintf(h, "spec=%s\n", spec.Fingerprint())
-	fmt.Fprintf(h, "sched=%s\nseed=%d\nquick=%t\n", sched, seed, quick)
-	var k Key
-	h.Sum(k[:0])
-	return k
+	var buf [2048]byte
+	b := append(buf[:0], keyPrefix...)
+	b = append(append(append(b, "cfg="...), cfg.Fingerprint()...), '\n')
+	b = append(append(append(b, "spec="...), spec.Fingerprint()...), '\n')
+	b = append(append(b, "sched="...), sched...)
+	b = strconv.AppendUint(append(b, "\nseed="...), seed, 10)
+	b = strconv.AppendBool(append(b, "\nquick="...), quick)
+	return sha256.Sum256(append(b, '\n'))
 }
 
 // Stats is a snapshot of a store's counters.
@@ -269,7 +282,8 @@ func (s *Store) Do(key Key, compute func() (metrics.Run, error)) (metrics.Run, e
 // "disk-hit", "remote-hit", "dedup", or "computed". The span never
 // influences what Do returns; it only observes.
 func (s *Store) DoSpan(key Key, sp *obs.Span, compute func() (metrics.Run, error)) (metrics.Run, error) {
-	sp.SetKey(key.String())
+	name := key.String() // the lookup's one hex form: span, file, URL, record
+	sp.SetKey(name)
 	endLookup := sp.StartPhase(obs.PhaseCacheLookup)
 	s.mu.Lock()
 	if r, ok := s.mem[key]; ok {
@@ -296,7 +310,7 @@ func (s *Store) DoSpan(key Key, sp *obs.Span, compute func() (metrics.Run, error
 	s.mu.Unlock()
 	endLookup()
 
-	f.run, f.err = s.fill(key, sp, compute)
+	f.run, f.err = s.fill(key, name, sp, compute)
 
 	s.mu.Lock()
 	delete(s.inflight, key)
@@ -315,10 +329,10 @@ func (s *Store) DoSpan(key Key, sp *obs.Span, compute func() (metrics.Run, error
 // written back — a cell found on disk was either computed here once already
 // (and written back then) or arrived from a shared store in the first place,
 // so re-announcing it would just flood the server with PUTs it has.
-func (s *Store) fill(key Key, sp *obs.Span, compute func() (metrics.Run, error)) (metrics.Run, error) {
+func (s *Store) fill(key Key, name string, sp *obs.Span, compute func() (metrics.Run, error)) (metrics.Run, error) {
 	if s.dir != "" {
 		end := sp.StartPhase(obs.PhaseCacheLookup)
-		r, ok := s.diskGet(key)
+		r, ok := s.diskGet(name)
 		end()
 		if ok {
 			s.diskHits.Add(1)
@@ -328,14 +342,14 @@ func (s *Store) fill(key Key, sp *obs.Span, compute func() (metrics.Run, error))
 	}
 	if s.remote != nil {
 		end := sp.StartPhase(obs.PhaseCacheLookup)
-		r, ok := s.remote.get(key)
+		r, ok := s.remote.get(key, name)
 		end()
 		if ok {
 			s.remoteHits.Add(1)
 			sp.SetOutcome("remote-hit")
 			if s.dir != "" && !s.readonly {
 				endStore := sp.StartPhase(obs.PhaseStore)
-				if s.diskPut(key, r) {
+				if s.diskPut(name, r) {
 					s.stores.Add(1)
 				}
 				endStore()
@@ -351,13 +365,13 @@ func (s *Store) fill(key Key, sp *obs.Span, compute func() (metrics.Run, error))
 	}
 	if !s.readonly {
 		endStore := sp.StartPhase(obs.PhaseStore)
-		b, encErr := encodeRecord(key, r)
+		b, encErr := encodeRecord(name, r)
 		if encErr == nil {
-			if s.dir != "" && writeEntry(s.dir, key.String(), b) {
+			if s.dir != "" && writeEntry(s.dir, name, b) {
 				s.stores.Add(1)
 			}
 			if s.remote != nil {
-				s.remote.put(key, b)
+				s.remote.put(key, name, b)
 			}
 		}
 		endStore()
@@ -365,32 +379,8 @@ func (s *Store) fill(key Key, sp *obs.Span, compute func() (metrics.Run, error))
 	return r, nil
 }
 
-// record is the stored entry (on disk and on the wire). Schema and Key are
-// stored redundantly (both already determine the entry's path) so a record
-// that was tampered with, cross-copied, or half-written is detected and
-// discarded instead of served.
-type record struct {
-	Schema int         `json:"schema"`
-	Key    string      `json:"key"`
-	Run    metrics.Run `json:"run"`
-}
-
-// encodeRecord renders the entry bytes stored on disk and PUT to the remote.
-func encodeRecord(key Key, r metrics.Run) ([]byte, error) {
-	return json.Marshal(record{Schema: SchemaVersion, Key: key.String(), Run: r})
-}
-
-// decodeRecord parses and validates entry bytes from either tier: the record
-// must decode and claim exactly this schema and key, or it is not served.
-func decodeRecord(b []byte, key Key) (metrics.Run, bool) {
-	var rec record
-	if err := json.Unmarshal(b, &rec); err != nil || rec.Schema != SchemaVersion || rec.Key != key.String() {
-		return metrics.Run{}, false
-	}
-	return rec.Run, true
-}
-
-func (s *Store) path(key Key) string { return filepath.Join(s.dir, key.String()+".json") }
+// path is the entry file of the key whose hex form is name.
+func (s *Store) path(name string) string { return filepath.Join(s.dir, name+".json") }
 
 // diskGet loads a record, tolerating corruption: a decode or identity
 // failure on successfully read bytes counts as a miss and deletes the bad
@@ -400,40 +390,41 @@ func (s *Store) path(key Key) string { return filepath.Join(s.dir, key.String()+
 // is never deleted on the strength of a failed read. A hit refreshes the
 // entry's timestamps — the "atime" EnforceBudget's LRU orders on (kernel
 // atime is unreliable under noatime mounts).
-func (s *Store) diskGet(key Key) (metrics.Run, bool) {
-	b, err := os.ReadFile(s.path(key))
+func (s *Store) diskGet(name string) (metrics.Run, bool) {
+	path := s.path(name)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return metrics.Run{}, false
 	}
-	r, ok := decodeRecord(b, key)
+	r, ok := decodeRecord(b, name)
 	if !ok {
-		s.discard(key)
+		s.discard(path)
 		return metrics.Run{}, false
 	}
 	if !s.readonly {
 		now := time.Now()
-		os.Chtimes(s.path(key), now, now)
+		os.Chtimes(path, now, now)
 	}
 	return r, true
 }
 
-// discard counts and best-effort removes a corrupt entry.
-func (s *Store) discard(key Key) {
+// discard counts and best-effort removes a corrupt entry file.
+func (s *Store) discard(path string) {
 	s.corrupt.Add(1)
 	if !s.readonly {
-		os.Remove(s.path(key))
+		os.Remove(path)
 	}
 }
 
 // diskPut encodes and writes one record into the store's version directory.
 // Failures are swallowed: the cache degrades to a miss on the next run
 // rather than failing the sweep.
-func (s *Store) diskPut(key Key, r metrics.Run) bool {
-	b, err := encodeRecord(key, r)
+func (s *Store) diskPut(name string, r metrics.Run) bool {
+	b, err := encodeRecord(name, r)
 	if err != nil {
 		return false
 	}
-	return writeEntry(s.dir, key.String(), b)
+	return writeEntry(s.dir, name, b)
 }
 
 // writeEntry atomically lands entry bytes as dir/<name>.json via a temp file

@@ -222,7 +222,7 @@ func TestCorruptEntriesTolerated(t *testing.T) {
 			if _, err := s1.Do(key, func() (metrics.Run, error) { return want, nil }); err != nil {
 				t.Fatal(err)
 			}
-			corrupt(s1.path(key))
+			corrupt(s1.path(key.String()))
 
 			s2, err := Open(dir, false)
 			if err != nil {
@@ -328,7 +328,7 @@ func TestGC(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(s.dir, "tmp-123")); !os.IsNotExist(err) {
 		t.Fatal("abandoned temp file survived GC")
 	}
-	if _, err := os.Stat(s.path(key)); err != nil {
+	if _, err := os.Stat(s.path(key.String())); err != nil {
 		t.Fatal("live entry did not survive GC")
 	}
 

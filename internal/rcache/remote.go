@@ -112,9 +112,10 @@ func newTransport(canonicalURL string) *transport {
 	}
 }
 
-// url returns the entry URL for key on this server.
-func (t *transport) url(key Key) string {
-	return t.base + "/cache/" + liveVersionDir + "/" + key.String()
+// url returns the entry URL on this server of the key whose hex form is
+// name.
+func (t *transport) url(name string) string {
+	return t.base + "/cache/" + liveVersionDir + "/" + name
 }
 
 // latched reports whether the server is currently latched down. The latch
@@ -157,12 +158,12 @@ func (t *transport) ok() { t.downUntil.Store(0) }
 // transport error, bad status, oversized or corrupt body, a record for the
 // wrong key — is a miss; transport errors additionally latch the server
 // down for a re-probe interval.
-func (t *transport) get(key Key) (metrics.Run, bool) {
+func (t *transport) get(name string) (metrics.Run, bool) {
 	if !t.admit() {
 		return metrics.Run{}, false
 	}
 	t.gets.Add(1)
-	resp, err := t.client.Get(t.url(key))
+	resp, err := t.client.Get(t.url(name))
 	if err != nil {
 		t.fail()
 		return metrics.Run{}, false
@@ -189,7 +190,7 @@ func (t *transport) get(key Key) (metrics.Run, bool) {
 		t.errs.Add(1)
 		return metrics.Run{}, false
 	}
-	run, ok := decodeRecord(b, key)
+	run, ok := decodeRecord(b, name)
 	if !ok {
 		// A 200 with a body that is not this key's record: a confused proxy
 		// or a tampered entry. Counted and refused, but not worth latching
@@ -201,13 +202,14 @@ func (t *transport) get(key Key) (metrics.Run, bool) {
 	return run, true
 }
 
-// put synchronously PUTs an already-encoded record to this server. Called
-// from write-back workers, never the simulation path.
-func (t *transport) put(key Key, body []byte) {
+// put synchronously PUTs an already-encoded record to this server under
+// the key whose hex form is name. Called from write-back workers, never the
+// simulation path.
+func (t *transport) put(name string, body []byte) {
 	if !t.admit() {
 		return // designed degradation: the latch already counted
 	}
-	req, err := http.NewRequest(http.MethodPut, t.url(key), bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPut, t.url(name), bytes.NewReader(body))
 	if err != nil {
 		t.errs.Add(1)
 		return

@@ -185,7 +185,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		return resp.StatusCode
 	}
 	key := Key{10}
-	good, err := encodeRecord(key, testRun())
+	good, err := encodeRecord(key.String(), testRun())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 func TestServerMetricsWalksStoreOnce(t *testing.T) {
 	srv, ts := newTestServer(t, 0)
 	for _, k := range []Key{{1}, {2}} {
-		body, err := encodeRecord(k, testRun())
+		body, err := encodeRecord(k.String(), testRun())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestServerMetricsWalksStoreOnce(t *testing.T) {
 // entries after PUTs, and /metrics reports it.
 func TestServerEviction(t *testing.T) {
 	key := Key{12}
-	body, err := encodeRecord(key, testRun())
+	body, err := encodeRecord(key.String(), testRun())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestServerEviction(t *testing.T) {
 	srv, ts := newTestServer(t, 2*size)
 
 	put := func(k Key) {
-		b, err := encodeRecord(k, testRun())
+		b, err := encodeRecord(k.String(), testRun())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +422,7 @@ func TestRemoteServerDown(t *testing.T) {
 // never fatal.
 func TestRemoteCorruptResponses(t *testing.T) {
 	key := Key{30}
-	wrongKey, err := encodeRecord(Key{31}, testRun())
+	wrongKey, err := encodeRecord(Key{31}.String(), testRun())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +562,7 @@ func BenchmarkServerPut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var k Key
 		k[0], k[1], k[2], k[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-		body, err := encodeRecord(k, run)
+		body, err := encodeRecord(k.String(), run)
 		if err != nil {
 			b.Fatal(err)
 		}

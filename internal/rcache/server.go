@@ -211,9 +211,8 @@ func (s *Server) servePut(w http.ResponseWriter, r *http.Request, version, key s
 	// write must not land where other clients will trust it — a mismatched
 	// record would sit in the store failing every reader's validation until
 	// the LRU happened to age it out.
-	var rec record
-	if json.Unmarshal(body, &rec) != nil || rec.Key != key ||
-		!strings.HasPrefix(version, fmt.Sprintf("v%d-", rec.Schema)) {
+	schema, k, _, ok := readRecord(body)
+	if !ok || string(k) != key || !strings.HasPrefix(version, "v"+strconv.Itoa(schema)+"-") {
 		s.badRequests.Add(1)
 		http.Error(w, "body is not a cache record for this key and schema", http.StatusBadRequest)
 		return

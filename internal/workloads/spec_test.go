@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -37,6 +39,27 @@ func TestSpecStringCoversEveryField(t *testing.T) {
 		testutil.PerturbField(t, reflect.ValueOf(&mod).Elem().Field(i))
 		if mod.String() == ref {
 			t.Errorf("Spec.String ignores field %s — distinct specs render identically", typ.Field(i).Name)
+		}
+	}
+}
+
+// TestSpecFingerprintMatchesFmtSpelling pins Fingerprint to the fmt
+// spelling every existing result-cache key was hashed from, across each
+// one-field perturbation of a spec and a spec with awkward values.
+func TestSpecFingerprintMatchesFmtSpelling(t *testing.T) {
+	base := Spec{Name: "mergesort", N: 1 << 14, Grain: 1024, Iters: 2, Seed: 7, SpaceID: 1}
+	specs := []Spec{base, {},
+		{Name: "q\"uo\\te\td \xff ü", N: -1, Grain: math.MaxInt64, Iters: math.MinInt64, Seed: math.MaxUint64, SpaceID: 255}}
+	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+		mod := base
+		testutil.PerturbField(t, reflect.ValueOf(&mod).Elem().Field(i))
+		specs = append(specs, mod)
+	}
+	for _, s := range specs {
+		want := fmt.Sprintf("workloads.Spec{Name=%q N=%d Grain=%d Iters=%d Seed=%d SpaceID=%d}",
+			s.Name, s.N, s.Grain, s.Iters, s.Seed, s.SpaceID)
+		if got := s.Fingerprint(); got != want {
+			t.Errorf("Fingerprint\n got %s\nwant %s", got, want)
 		}
 	}
 }

@@ -26,6 +26,7 @@ package workloads
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -61,9 +62,19 @@ func (s Spec) String() string {
 // TestSpecFingerprintCoversEveryField perturbs each struct field by
 // reflection and fails if the fingerprint does not change, so adding a Spec
 // field without extending this method cannot silently alias cache entries.
+//
+// It is the fmt-free spelling of
+// `workloads.Spec{Name=%q N=%d Grain=%d Iters=%d Seed=%d SpaceID=%d}`: the
+// result cache builds one per lookup, so it appends with strconv instead.
 func (s Spec) Fingerprint() string {
-	return fmt.Sprintf("workloads.Spec{Name=%q N=%d Grain=%d Iters=%d Seed=%d SpaceID=%d}",
-		s.Name, s.N, s.Grain, s.Iters, s.Seed, s.SpaceID)
+	b := append(make([]byte, 0, 128), "workloads.Spec{Name="...)
+	b = strconv.AppendQuote(b, s.Name)
+	b = strconv.AppendInt(append(b, " N="...), int64(s.N), 10)
+	b = strconv.AppendInt(append(b, " Grain="...), int64(s.Grain), 10)
+	b = strconv.AppendInt(append(b, " Iters="...), int64(s.Iters), 10)
+	b = strconv.AppendUint(append(b, " Seed="...), s.Seed, 10)
+	b = strconv.AppendUint(append(b, " SpaceID="...), uint64(s.SpaceID), 10)
+	return string(append(b, '}'))
 }
 
 // Instance is a ready-to-simulate workload: a frozen DAG over allocated
